@@ -1,7 +1,6 @@
 #include "net/dissemination.hpp"
 
 #include <algorithm>
-#include <deque>
 
 namespace evm::net {
 
@@ -15,7 +14,7 @@ DisseminationTree DisseminationTree::compute(const Topology& topo, NodeId root,
   // succession uses, keeping data and control planes aligned.
   auto usable = [&](NodeId id) {
     return topo.has_node(id) && !topo.node_down(id) &&
-           !topo.neighbors(id).empty();
+           !topo.neighbors_view(id).empty();
   };
   NodeId effective_root = kInvalidNode;
   if (usable(root)) {
@@ -34,55 +33,53 @@ DisseminationTree DisseminationTree::compute(const Topology& topo, NodeId root,
   tree.root_ = effective_root;
 
   // BFS over live neighbours only; first discovery fixes the parent, and
-  // neighbors() iterates the sorted link set, so ties are deterministic.
-  std::map<NodeId, NodeId> bfs_parent;
-  bfs_parent[effective_root] = kInvalidNode;
-  std::deque<NodeId> frontier{effective_root};
-  while (!frontier.empty()) {
-    const NodeId cur = frontier.front();
-    frontier.pop_front();
-    for (NodeId next : topo.neighbors(cur)) {
-      if (bfs_parent.count(next) > 0) continue;
-      bfs_parent[next] = cur;
-      frontier.push_back(next);
-    }
-  }
+  // Topology::bfs expands neighbours in ascending id order, so ties are
+  // deterministic (lowest-id parent).
+  std::vector<std::int32_t> dist;
+  std::vector<NodeId> bfs_parent;
+  topo.bfs(effective_root, dist, &bfs_parent);
 
   // Prune to the union of root-to-target paths: walking each reachable
   // target's parent chain marks exactly the relays the replica set needs.
-  tree.parent_[effective_root] = kInvalidNode;
+  const std::size_t width = dist.size();
+  tree.parent_.assign(width, kInvalidNode);
+  tree.degree_.assign(width, kNotMember);
+  tree.degree_[effective_root] = 0;
   for (NodeId target : targets) {
-    auto it = bfs_parent.find(target);
-    if (it == bfs_parent.end()) continue;  // partitioned off: prune
+    if (static_cast<std::size_t>(target) >= width || dist[target] < 0) {
+      continue;  // partitioned off: prune
+    }
     NodeId walk = target;
-    while (walk != kInvalidNode && tree.parent_.count(walk) == 0) {
-      tree.parent_[walk] = bfs_parent.at(walk);
-      walk = bfs_parent.at(walk);
+    while (walk != kInvalidNode && tree.degree_[walk] == kNotMember) {
+      tree.degree_[walk] = 0;
+      tree.parent_[walk] = bfs_parent[walk];
+      walk = bfs_parent[walk];
     }
   }
 
-  for (const auto& [node, parent] : tree.parent_) {
-    tree.members_.push_back(node);
+  for (std::size_t id = 0; id < width; ++id) {
+    if (tree.degree_[id] == kNotMember) continue;
+    tree.members_.push_back(static_cast<NodeId>(id));
+    const NodeId parent = tree.parent_[id];
     if (parent != kInvalidNode) {
-      ++tree.degree_[node];
+      ++tree.degree_[id];
       ++tree.degree_[parent];
     }
   }
-  for (const auto& [node, degree] : tree.degree_) {
-    (void)node;
+  for (std::int32_t degree : tree.degree_) {
     if (degree >= 2) ++tree.forwarders_;
   }
   return tree;
 }
 
 NodeId DisseminationTree::parent(NodeId id) const {
-  auto it = parent_.find(id);
-  return it == parent_.end() ? kInvalidNode : it->second;
+  return static_cast<std::size_t>(id) < parent_.size() ? parent_[id]
+                                                       : kInvalidNode;
 }
 
 int DisseminationTree::degree(NodeId id) const {
-  auto it = degree_.find(id);
-  return it == degree_.end() ? 0 : it->second;
+  if (static_cast<std::size_t>(id) >= degree_.size()) return 0;
+  return std::max(degree_[id], 0);
 }
 
 }  // namespace evm::net

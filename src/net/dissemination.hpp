@@ -12,7 +12,7 @@
 // silently orphaning the subtree.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -23,12 +23,13 @@ class DisseminationTree {
  public:
   /// Shortest-path tree over the *current* up links between live nodes,
   /// rooted at `root` and pruned to the nodes on root-to-target paths.
-  /// Deterministic: BFS discovery order follows the topology's sorted link
-  /// set, so equal-length paths always resolve the same way. If `root` is
-  /// down or isolated, the tree re-roots at the lowest-id live target that
-  /// still has a live link (head succession picks the lowest id too, so the
-  /// dissemination structure follows the control plane). Unreachable targets
-  /// are simply absent — a partition prunes, it does not throw.
+  /// Deterministic: Topology::bfs expands neighbours in ascending id order,
+  /// so equal-length paths always resolve to the lowest-id parent. If
+  /// `root` is down or isolated, the tree re-roots at the lowest-id live
+  /// target that still has a live link (head succession picks the lowest id
+  /// too, so the dissemination structure follows the control plane).
+  /// Unreachable targets are simply absent — a partition prunes, it does
+  /// not throw.
   static DisseminationTree compute(const Topology& topo, NodeId root,
                                    const std::vector<NodeId>& targets);
 
@@ -37,7 +38,10 @@ class DisseminationTree {
   std::size_t size() const { return members_.size(); }
   /// Tree members in ascending id order (targets plus path relays).
   const std::vector<NodeId>& members() const { return members_; }
-  bool contains(NodeId id) const { return parent_.count(id) > 0; }
+  bool contains(NodeId id) const {
+    return static_cast<std::size_t>(id) < degree_.size() &&
+           degree_[id] != kNotMember;
+  }
   /// Parent toward the root; kInvalidNode for the root and non-members.
   NodeId parent(NodeId id) const;
   /// Tree degree (parent edge + child edges); 0 for non-members.
@@ -52,9 +56,13 @@ class DisseminationTree {
   std::size_t forwarder_count() const { return forwarders_; }
 
  private:
+  static constexpr std::int32_t kNotMember = -1;
+
   NodeId root_ = kInvalidNode;
-  std::map<NodeId, NodeId> parent_;  // member -> parent (root -> kInvalidNode)
-  std::map<NodeId, int> degree_;
+  // Flat, indexed by raw NodeId: parent toward the root (kInvalidNode for
+  // the root and non-members) and tree degree (kNotMember off the tree).
+  std::vector<NodeId> parent_;
+  std::vector<std::int32_t> degree_;
   std::vector<NodeId> members_;
   std::size_t forwarders_ = 0;
 };

@@ -1,7 +1,5 @@
 #include "net/topology.hpp"
 
-#include <deque>
-
 namespace evm::net {
 
 namespace {
@@ -137,41 +135,47 @@ std::vector<NodeId> Topology::neighbors(NodeId id) const {
   return neighbors_view(id);
 }
 
+Topology::BfsReach Topology::bfs(NodeId source, std::vector<std::int32_t>& dist,
+                                 std::vector<NodeId>* parent) const {
+  refresh_adjacency();
+  const std::size_t width = static_cast<std::size_t>(max_node_id()) + 1;
+  dist.assign(width, -1);
+  if (parent != nullptr) parent->assign(width, kInvalidNode);
+  BfsReach reach;
+  if (!has_node(source) || node_down(source)) return reach;
+  // Contiguous FIFO: every reached node is appended exactly once, so the
+  // visited prefix of `queue` doubles as the queue and nothing is popped.
+  // Raw pointers keep the hot loop free of container bookkeeping.
+  std::vector<NodeId> queue(width);
+  NodeId* const fifo = queue.data();
+  std::int32_t* const hops = dist.data();
+  NodeId* const up = parent != nullptr ? parent->data() : nullptr;
+  std::size_t tail = 0;
+  fifo[tail++] = source;
+  hops[source] = 0;
+  for (std::size_t head = 0; head < tail; ++head) {
+    const NodeId cur = fifo[head];
+    const std::int32_t next_hops = hops[cur] + 1;
+    // adj_ of a down node is empty and no live list names one, so adj_ is
+    // exactly neighbors_view() without its per-call liveness lookup.
+    for (NodeId n : adj_[cur]) {
+      if (hops[n] >= 0) continue;
+      hops[n] = next_hops;
+      if (up != nullptr) up[n] = cur;
+      fifo[tail++] = n;
+    }
+  }
+  reach.reached = tail;
+  reach.depth = hops[fifo[tail - 1]];  // BFS reaches nodes in hop order
+  return reach;
+}
+
 const std::vector<std::int32_t>& Topology::distances_from(NodeId dest) const {
   RouteCache& cache = routes_[dest];
   if (cache.version == version_ && !cache.dist.empty()) return cache.dist;
-  refresh_adjacency();
-  const std::size_t width = static_cast<std::size_t>(max_node_id()) + 1;
+  bfs(dest, cache.dist);
   cache.version = version_;
-  cache.dist.assign(width, -1);
-  if (!has_node(dest) || node_down(dest)) return cache.dist;
-  cache.dist[dest] = 0;
-  std::deque<NodeId> frontier{dest};
-  while (!frontier.empty()) {
-    const NodeId cur = frontier.front();
-    frontier.pop_front();
-    for (NodeId n : adj_[cur]) {
-      if (cache.dist[n] < 0) {
-        cache.dist[n] = cache.dist[cur] + 1;
-        frontier.push_back(n);
-      }
-    }
-  }
   return cache.dist;
-}
-
-std::map<NodeId, int> Topology::hop_counts(NodeId source) const {
-  std::map<NodeId, int> dist;
-  if (!has_node(source)) return dist;
-  const std::vector<std::int32_t>& flat = distances_from(source);
-  if (node_down(source)) {
-    dist[source] = 0;  // BFS from a corpse reaches only itself
-    return dist;
-  }
-  for (std::size_t id = 0; id < flat.size(); ++id) {
-    if (flat[id] >= 0) dist[static_cast<NodeId>(id)] = flat[id];
-  }
-  return dist;
 }
 
 std::optional<NodeId> Topology::next_hop(NodeId source, NodeId dest) const {

@@ -8,7 +8,9 @@
 // cached BFS distance field per destination — rebuilt lazily whenever
 // `version()` moves. A 300-node broadcast therefore costs O(degree) per
 // transmission instead of O(links) per neighbor query, and a unicast forward
-// costs O(degree) instead of a fresh O(V+E) BFS.
+// costs O(degree) instead of a fresh O(V+E) BFS. bfs() is the one
+// breadth-first search in the code base: the route cache, the dissemination
+// tree and the testbed's topology analysis all run on it.
 #pragma once
 
 #include <cstdint>
@@ -81,9 +83,27 @@ class Topology {
   /// of cell entries. Same invalidation rule as neighbors_view().
   const std::vector<CellMask>& audible_cells_view(NodeId id) const;
 
-  /// Breadth-first hop counts from `source` over up links; unreachable nodes
-  /// are absent from the map.
-  std::map<NodeId, int> hop_counts(NodeId source) const;
+  /// What one bfs() call saw: how many nodes it reached (the source
+  /// included; 0 from an unknown or down source) and the source's
+  /// eccentricity (the largest hop count among them).
+  struct BfsReach {
+    std::size_t reached = 0;
+    std::int32_t depth = 0;
+  };
+  /// The one breadth-first search over the live adjacency (up links between
+  /// live nodes). Fills `dist` with hop counts from `source` (-1 where
+  /// unreachable) and, when non-null, `parent` with each reached node's BFS
+  /// parent (kInvalidNode for the source and unreached ids); both are
+  /// indexed by raw NodeId and sized max_node_id() + 1. Neighbours expand
+  /// in ascending id order (the neighbors_view() order), so first discovery
+  /// fixes the lowest-id parent among equally short paths.
+  BfsReach bfs(NodeId source, std::vector<std::int32_t>& dist,
+               std::vector<NodeId>* parent = nullptr) const;
+  /// BFS hop counts from `dest` (indexed by raw NodeId; -1 unreachable, and
+  /// all -1 when `dest` is unknown or down), cached per destination and
+  /// rebuilt when the version moves. Same invalidation rule as
+  /// neighbors_view().
+  const std::vector<std::int32_t>& distances_from(NodeId dest) const;
   /// Next hop on a shortest path from `source` toward `dest`, if reachable.
   /// Served from a per-destination cached BFS distance field.
   std::optional<NodeId> next_hop(NodeId source, NodeId dest) const;
@@ -117,9 +137,6 @@ class Topology {
   /// Appends in links_ iteration order, so each cached list is byte-for-byte
   /// the vector the uncached neighbors() scan used to produce.
   void refresh_adjacency() const;
-  /// BFS distance field from `dest` (indexed by raw NodeId; -1 unreachable),
-  /// cached per destination and rebuilt when the version moves.
-  const std::vector<std::int32_t>& distances_from(NodeId dest) const;
 
   std::set<NodeId> nodes_;
   std::set<NodeId> down_nodes_;

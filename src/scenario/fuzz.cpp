@@ -137,6 +137,7 @@ ScenarioSpec generate_spec(std::uint64_t run_seed, const GeneratorConfig& config
   }
 
   const testbed::TopologySpec topo = spec.topology();
+  const testbed::TopologyAnalysis analysis = topo.analyze();
   // Event targets: every VC member (relays included — crashing the relay
   // between sensor and controllers is exactly the stress multi-hop worlds
   // add); controllers in replica-priority order.
@@ -209,7 +210,7 @@ ScenarioSpec generate_spec(std::uint64_t run_seed, const GeneratorConfig& config
         // loop survives losing its only sensor (or its only path) forever.
         bool restart = true;
         if (is_controller(controllers, target) && !state.disturbance_seen &&
-            !topo.is_cut_vertex(target)) {
+            !analysis.is_cut_vertex(target)) {
           // Fail-stop forever is only survivable when the crash neither
           // spends a replica the schedule already burned nor partitions the
           // world (a dead cut vertex severs the VC for good).

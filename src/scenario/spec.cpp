@@ -138,13 +138,14 @@ testbed::TopologySpec ScenarioSpec::topology() const {
 
 util::Status ScenarioSpec::validate() const {
   const testbed::TopologySpec topo = topology();
-  if (util::Status s = topo.validate(); !s) {
+  const testbed::TopologyAnalysis analysis = topo.analyze();
+  if (util::Status s = topo.validate(analysis); !s) {
     return Status::invalid_argument("topology: " + s.message());
   }
   // Schedule feasibility: one TDMA frame (the worst-case link access) must
   // fit inside the control period, or the loop can never close on time.
   const testbed::SchedulePlan plan =
-      testbed::plan_schedule(topo, testbed.dissemination);
+      testbed::plan_schedule(topo, analysis, testbed.dissemination);
   if (plan.frame_length() > testbed.control_period) {
     return Status::invalid_argument(
         "infeasible schedule: the " + std::to_string(plan.slots.size()) +

@@ -21,9 +21,11 @@ TestbedBuilder::TestbedBuilder(GasPlantTestbedConfig config)
                 : std::move(config_.topology)),
       sim_(config_.seed), plant_(config_.plant) {
   config_.topology = TopologySpec{};  // resolved world lives in topo_ only
-  if (util::Status valid = topo_.validate(); !valid) {
+  const TopologyAnalysis analysis = topo_.analyze();
+  if (util::Status valid = topo_.validate(analysis); !valid) {
     throw std::runtime_error("invalid topology: " + valid.to_string());
   }
+  diameter_ = analysis.diameter;
   topology_ = topo_.to_topology();
   medium_ = std::make_unique<net::Medium>(sim_, topology_);
 
@@ -31,7 +33,8 @@ TestbedBuilder::TestbedBuilder(GasPlantTestbedConfig config)
   // plus a second slot for the chatty nodes. On the Fig. 5 mesh this is the
   // paper's 10-slot x 5 ms frame, keeping worst-case link access at
   // 50 ms << the 250 ms control cycle.
-  const SchedulePlan plan = plan_schedule(topo_, config_.dissemination);
+  const SchedulePlan plan =
+      plan_schedule(topo_, analysis, config_.dissemination);
   schedule_ = std::make_unique<net::RtLinkSchedule>(
       static_cast<int>(plan.slots.size()), plan.slot_length);
   for (std::size_t slot = 0; slot < plan.slots.size(); ++slot) {
@@ -139,17 +142,15 @@ void TestbedBuilder::build_nodes() {
   // dissemination over the gateway-rooted spanning tree pruned to the
   // role nodes — multicast cost follows the tree size; kFlood keeps the
   // PR 4 every-node re-broadcast as the comparison baseline.
-  const int diameter = topo_.diameter();
-  const bool multi_hop = diameter > 1;
-  const std::uint8_t ttl = static_cast<std::uint8_t>(std::max(8, diameter + 1));
+  const std::uint8_t ttl = static_cast<std::uint8_t>(std::max(8, diameter_ + 1));
   dissemination_ = config_.dissemination;
   if (dissemination_ == DisseminationMode::kAuto) {
-    dissemination_ = multi_hop ? DisseminationMode::kTree
+    dissemination_ = multi_hop() ? DisseminationMode::kTree
                                : DisseminationMode::kFlood;
   }
   // Single-hop worlds never relay broadcasts regardless of the mode; the
   // tree cache is only built (and consulted) where relaying happens.
-  if (multi_hop && dissemination_ == DisseminationMode::kTree) {
+  if (multi_hop() && dissemination_ == DisseminationMode::kTree) {
     tree_cache_ = std::make_unique<net::DisseminationTreeCache>(
         topology_, topo_.gateway(), topo_.dissemination_targets());
   }
@@ -164,7 +165,7 @@ void TestbedBuilder::build_nodes() {
     ++index;
     nodes_[entry.id] = std::make_unique<core::Node>(sim_, *medium_, *schedule_,
                                                     *timesync_, config);
-    if (multi_hop) {
+    if (multi_hop()) {
       if (tree_cache_ != nullptr) {
         nodes_[entry.id]->router().enable_tree_dissemination(tree_cache_.get());
         if (config_.head_bound_tree_unicast) {

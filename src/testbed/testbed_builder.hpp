@@ -105,6 +105,10 @@ class TestbedBuilder {
   plant::HilHarness& hil() { return *hil_; }
   net::Topology& topology() { return topology_; }
   const TopologySpec& topology_spec() const { return topo_; }
+  /// The world's diameter, kept from the one analysis the constructor runs
+  /// (it sets the routing TTL and whether the world is multi-hop).
+  int diameter() const { return diameter_; }
+  bool multi_hop() const { return diameter_ > 1; }
   net::Medium& medium() { return *medium_; }
   net::RtLinkSchedule& schedule() { return *schedule_; }
   core::Node& node(net::NodeId id) { return *nodes_.at(id); }
@@ -142,6 +146,7 @@ class TestbedBuilder {
 
   GasPlantTestbedConfig config_;
   TopologySpec topo_;
+  int diameter_ = -1;
   sim::Simulator sim_;
   net::Topology topology_;
   std::unique_ptr<net::Medium> medium_;

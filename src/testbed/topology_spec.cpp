@@ -217,43 +217,82 @@ net::Topology TopologySpec::to_topology() const {
   return topo;
 }
 
-int TopologySpec::diameter() const {
-  const net::Topology topo = to_topology();
-  int diameter = 0;
-  for (const auto& node : nodes) {
-    const auto dist = topo.hop_counts(node.id);
-    if (dist.size() != nodes.size()) return -1;  // disconnected
-    for (const auto& [other, hops] : dist) {
-      (void)other;
-      diameter = std::max(diameter, hops);
+namespace {
+
+/// Cut vertices of `graph` restricted to the spec's nodes, flat by raw
+/// NodeId. A connected world takes one iterative Tarjan pass: a DFS root is
+/// a cut vertex when it has two or more DFS children, any other node u when
+/// some DFS child v has low[v] >= disc[u]. In a disconnected world the
+/// rest of the nodes stay connected only when the removed node sits alone
+/// in one of exactly two components, so every other node is a cut vertex.
+std::vector<std::uint8_t> find_cut_vertices(const net::Topology& graph,
+                                            const std::vector<TopologyNode>& nodes,
+                                            bool connected) {
+  const std::size_t width = static_cast<std::size_t>(graph.max_node_id()) + 1;
+  std::vector<std::uint8_t> cut(width, 0);
+  if (nodes.size() < 3) return cut;
+
+  if (!connected) {
+    std::vector<std::uint8_t> seen(width, 0);
+    std::vector<std::int32_t> dist;
+    std::size_t components = 0;
+    for (const auto& node : nodes) {
+      if (seen[node.id] != 0) continue;
+      ++components;
+      graph.bfs(node.id, dist);
+      for (std::size_t id = 0; id < width; ++id) {
+        if (dist[id] >= 0) seen[id] = 1;
+      }
     }
+    for (const auto& node : nodes) {
+      const bool alone = graph.neighbors_view(node.id).empty();
+      cut[node.id] = alone && components == 2 ? 0 : 1;
+    }
+    return cut;
   }
-  return diameter;
+
+  std::vector<std::int32_t> disc(width, -1);
+  std::vector<std::int32_t> low(width, 0);
+  std::vector<std::size_t> next_edge(width, 0);
+  std::vector<net::NodeId> path;  // the DFS stack, root first
+  path.reserve(nodes.size());
+  const net::NodeId root = nodes.front().id;
+  std::int32_t clock = 0;
+  std::size_t root_children = 0;
+  disc[root] = low[root] = clock++;
+  path.push_back(root);
+  while (!path.empty()) {
+    const net::NodeId u = path.back();
+    const std::vector<net::NodeId>& adjacent = graph.neighbors_view(u);
+    if (next_edge[u] < adjacent.size()) {
+      const net::NodeId v = adjacent[next_edge[u]++];
+      if (disc[v] < 0) {
+        disc[v] = low[v] = clock++;
+        if (u == root) ++root_children;
+        path.push_back(v);
+      } else {
+        low[u] = std::min(low[u], disc[v]);
+      }
+      continue;
+    }
+    path.pop_back();
+    if (path.empty()) break;
+    const net::NodeId p = path.back();
+    low[p] = std::min(low[p], low[u]);
+    if (p != root && low[u] >= disc[p]) cut[p] = 1;
+  }
+  cut[root] = root_children >= 2 ? 1 : 0;
+  return cut;
 }
 
-bool TopologySpec::is_cut_vertex(net::NodeId id) const {
-  if (nodes.size() < 3) return false;
-  net::Topology graph = to_topology();
-  for (net::NodeId neighbor : graph.neighbors(id)) {
-    graph.set_link_up(id, neighbor, false);
-  }
-  net::NodeId start = net::kInvalidNode;
-  for (const auto& node : nodes) {
-    if (node.id != id) {
-      start = node.id;
-      break;
-    }
-  }
-  return graph.hop_counts(start).size() != nodes.size() - 1;
-}
-
-util::Status TopologySpec::validate() const {
-  if (nodes.empty()) return Status::invalid_argument("topology has no nodes");
+/// Everything validate() checks apart from connectivity.
+Status check_structure(const TopologySpec& spec) {
+  if (spec.nodes.empty()) return Status::invalid_argument("topology has no nodes");
 
   std::set<net::NodeId> ids;
   std::set<std::string> names;
   std::size_t gateways = 0;
-  for (const auto& node : nodes) {
+  for (const auto& node : spec.nodes) {
     if (node.id == net::kInvalidNode || node.id == net::kBroadcast) {
       return Status::invalid_argument("node id " + std::to_string(node.id) +
                                       " is reserved");
@@ -274,19 +313,19 @@ util::Status TopologySpec::validate() const {
     return Status::invalid_argument("topology needs exactly one gateway, has " +
                                     std::to_string(gateways));
   }
-  if (primary_sensor() == net::kInvalidNode) {
+  if (spec.primary_sensor() == net::kInvalidNode) {
     return Status::invalid_argument("topology needs at least one sensor node");
   }
-  if (primary_actuator() == net::kInvalidNode) {
+  if (spec.primary_actuator() == net::kInvalidNode) {
     return Status::invalid_argument("topology needs at least one actuator node");
   }
-  if (replica_order().empty()) {
+  if (spec.replica_order().empty()) {
     return Status::invalid_argument(
         "topology needs at least one vc-member controller");
   }
   for (net::NodeId essential :
-       {gateway(), primary_sensor(), primary_actuator()}) {
-    const TopologyNode* node = find(essential);
+       {spec.gateway(), spec.primary_sensor(), spec.primary_actuator()}) {
+    const TopologyNode* node = spec.find(essential);
     if (node != nullptr && !node->vc_member) {
       return Status::invalid_argument("node '" + node->name +
                                       "' must be a VC member");
@@ -294,11 +333,11 @@ util::Status TopologySpec::validate() const {
   }
 
   std::set<std::pair<net::NodeId, net::NodeId>> seen;
-  for (const auto& link : links) {
-    if (find(link.a) == nullptr || find(link.b) == nullptr) {
-      return Status::invalid_argument(
-          "link references unknown node " +
-          std::to_string(find(link.a) == nullptr ? link.a : link.b));
+  for (const auto& link : spec.links) {
+    const bool known_a = ids.count(link.a) > 0;
+    if (!known_a || ids.count(link.b) == 0) {
+      return Status::invalid_argument("link references unknown node " +
+                                      std::to_string(known_a ? link.b : link.a));
     }
     if (link.a == link.b) {
       return Status::invalid_argument("link endpoints must differ (node " +
@@ -314,28 +353,78 @@ util::Status TopologySpec::validate() const {
                                       "-" + std::to_string(link.b));
     }
   }
-  if (diameter() < 0) {
+  return Status::ok();
+}
+
+Status check_connected(const TopologyAnalysis& analysis) {
+  if (!analysis.connected) {
     return Status::invalid_argument("topology is disconnected");
   }
   return Status::ok();
 }
 
+}  // namespace
+
+int TopologyAnalysis::hops_from_gateway(net::NodeId id) const {
+  return static_cast<std::size_t>(id) < gateway_hops.size() ? gateway_hops[id]
+                                                            : -1;
+}
+
+bool TopologyAnalysis::is_cut_vertex(net::NodeId id) const {
+  return static_cast<std::size_t>(id) < cut_vertices.size() &&
+         cut_vertices[id] != 0;
+}
+
+TopologyAnalysis TopologySpec::analyze() const {
+  TopologyAnalysis analysis;
+  const net::Topology graph = to_topology();
+  graph.bfs(gateway(), analysis.gateway_hops);
+  // All-pairs BFS for the diameter; a search that misses a node proves the
+  // world disconnected and ends the scan.
+  analysis.connected = true;
+  analysis.diameter = 0;
+  std::vector<std::int32_t> dist;
+  for (const auto& node : nodes) {
+    const net::Topology::BfsReach reach = graph.bfs(node.id, dist);
+    if (reach.reached != nodes.size()) {
+      analysis.connected = false;
+      analysis.diameter = -1;
+      break;
+    }
+    analysis.diameter = std::max(analysis.diameter, static_cast<int>(reach.depth));
+  }
+  analysis.cut_vertices = find_cut_vertices(graph, nodes, analysis.connected);
+  return analysis;
+}
+
+util::Status TopologySpec::validate() const {
+  if (Status s = check_structure(*this); !s) return s;
+  return check_connected(analyze());
+}
+
+util::Status TopologySpec::validate(const TopologyAnalysis& analysis) const {
+  if (Status s = check_structure(*this); !s) return s;
+  return check_connected(analysis);
+}
+
 SchedulePlan plan_schedule(const TopologySpec& topo, DisseminationMode mode) {
+  return plan_schedule(topo, topo.analyze(), mode);
+}
+
+SchedulePlan plan_schedule(const TopologySpec& topo,
+                           const TopologyAnalysis& analysis,
+                           DisseminationMode mode) {
   SchedulePlan plan;
   // Base slots in hop order from the gateway, ties by spec order: a packet
   // flooding away from the gateway end of the network can cross several
   // hops inside a single frame instead of paying one frame per hop.
-  const net::Topology graph = topo.to_topology();
-  const auto hops = graph.hop_counts(topo.gateway());
+  auto hops = [&](net::NodeId id) {
+    const int h = analysis.hops_from_gateway(id);
+    return h < 0 ? 1 << 20 : h;
+  };
   std::vector<net::NodeId> order = topo.node_ids();
   std::stable_sort(order.begin(), order.end(),
-                   [&](net::NodeId a, net::NodeId b) {
-                     const auto ha = hops.find(a);
-                     const auto hb = hops.find(b);
-                     const int da = ha == hops.end() ? 1 << 20 : ha->second;
-                     const int db = hb == hops.end() ? 1 << 20 : hb->second;
-                     return da < db;
-                   });
+                   [&](net::NodeId a, net::NodeId b) { return hops(a) < hops(b); });
   plan.slots = order;
 
   // Mirror pass (tree-scoped multi-hop worlds only): the dissemination
@@ -345,9 +434,9 @@ SchedulePlan plan_schedule(const TopologySpec& topo, DisseminationMode mode) {
   // per hop. Single-hop worlds skip this (keeping the paper's 10-slot
   // Fig. 5 frame intact), and so do flood-forced worlds (restoring the
   // exact PR 4 frame, so the flood knob really is the PR 4 baseline).
-  if (topo.multi_hop() && mode != DisseminationMode::kFlood) {
+  if (analysis.multi_hop() && mode != DisseminationMode::kFlood) {
     const net::DisseminationTree tree = net::DisseminationTree::compute(
-        graph, topo.gateway(), topo.dissemination_targets());
+        topo.to_topology(), topo.gateway(), topo.dissemination_targets());
     std::vector<net::NodeId> interior;
     for (net::NodeId id : order) {
       if (tree.forwards(id)) interior.push_back(id);

@@ -8,6 +8,7 @@
 // stars) so a 20-node failover experiment is one JSON object, no recompile.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -75,6 +76,31 @@ struct SchedulePlan {
   util::Duration frame_length() const { return slot_length * static_cast<int>(slots.size()); }
 };
 
+/// Everything the testbed derives from a world's link graph, computed in
+/// one pass (TopologySpec::analyze) over flat vectors indexed by raw NodeId:
+/// connectivity, the diameter (routing TTL, single- vs multi-hop), hop
+/// counts from the gateway (the slot plan's order) and the cut vertices
+/// (the bound of the fail-stop fault model, from one Tarjan pass).
+/// validate(), plan_schedule() and TestbedBuilder all take it, so a world
+/// is analysed once instead of once per question.
+struct TopologyAnalysis {
+  /// Every spec node reaches every other over the spec's links.
+  bool connected = false;
+  /// Longest shortest-path hop count between any node pair; -1 when the
+  /// graph is disconnected. 1 on the Fig. 5 full mesh.
+  int diameter = -1;
+  /// BFS hop count from the gateway; -1 where unreachable.
+  std::vector<std::int32_t> gateway_hops;
+  /// Non-zero where removing the node disconnects the remaining nodes.
+  std::vector<std::uint8_t> cut_vertices;
+
+  bool multi_hop() const { return diameter > 1; }
+  /// -1 for ids the gateway cannot reach (or the spec does not have).
+  int hops_from_gateway(net::NodeId id) const;
+  /// False for ids the spec does not have.
+  bool is_cut_vertex(net::NodeId id) const;
+};
+
 struct TopologySpec {
   /// Construction order is meaningful: controllers appear in replica
   /// priority order (the first vc-member controller is the initial primary).
@@ -108,18 +134,23 @@ struct TopologySpec {
   /// Resolve a node reference (a role-table name or a numeric id).
   util::Result<net::NodeId> parse_node(const util::Json& ref) const;
 
-  /// Longest shortest-path hop count between any node pair; -1 when the
-  /// graph is disconnected. 1 on the Fig. 5 full mesh.
-  int diameter() const;
-  bool multi_hop() const { return diameter() > 1; }
+  /// The world's one topology analysis (see TopologyAnalysis). Defined on
+  /// any spec; only meaningful for a structurally valid one.
+  TopologyAnalysis analyze() const;
+  /// Convenience wrappers, each running a full analyze(): callers asking
+  /// more than one question should analyse once and keep the result.
+  int diameter() const { return analyze().diameter; }
+  bool multi_hop() const { return analyze().multi_hop(); }
   /// True when removing `id` disconnects the remaining nodes. Permanently
   /// crashing a cut vertex partitions the VC — outside the fault model, so
   /// the fuzz generator always schedules a restart for these.
-  bool is_cut_vertex(net::NodeId id) const;
+  bool is_cut_vertex(net::NodeId id) const { return analyze().is_cut_vertex(id); }
 
   /// Structural checks: unique ids/names, exactly one gateway, at least one
   /// sensor / actuator / vc-member controller, well-formed connected links.
   util::Status validate() const;
+  /// Same checks, reading connectivity from an analysis of this spec.
+  util::Status validate(const TopologyAnalysis& analysis) const;
 
   /// Compile the static link set into the runtime net::Topology.
   net::Topology to_topology() const;
@@ -137,6 +168,10 @@ struct TopologySpec {
 /// tree does (multi-hop worlds not forced back to flooding), so a
 /// flood-forced world keeps the exact PR 4 frame and its schedule
 /// feasibility.
+SchedulePlan plan_schedule(const TopologySpec& topo,
+                           const TopologyAnalysis& analysis,
+                           DisseminationMode mode = DisseminationMode::kAuto);
+/// Same plan, analysing `topo` first.
 SchedulePlan plan_schedule(const TopologySpec& topo,
                            DisseminationMode mode = DisseminationMode::kAuto);
 

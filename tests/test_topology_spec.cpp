@@ -5,9 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <map>
 #include <set>
 
+#include "net/dissemination.hpp"
+#include "scenario/fuzz.hpp"
+#include "scenario/spec.hpp"
 #include "testbed/topology_spec.hpp"
+#include "util/hash.hpp"
+#include "util/rng.hpp"
 
 namespace evm::testbed {
 namespace {
@@ -247,6 +254,229 @@ TEST(TopologySpecValidation, ParseNodeResolvesNamesAndIds) {
   EXPECT_EQ(*by_id, spec.gateway());
   EXPECT_FALSE(spec.parse_node(util::Json("ctrl_c")).ok());  // only 2 ctrls
   EXPECT_FALSE(spec.parse_node(util::Json(static_cast<std::int64_t>(99))).ok());
+}
+
+// --- TopologyAnalysis against a brute-force reference ----------------------
+// The reference works straight off the spec's link list with ordered
+// containers and knows nothing of net::Topology: one BFS per question, and
+// the cut-vertex verdict is the historical remove-the-node-and-BFS rule.
+
+class ReferenceGraph {
+ public:
+  explicit ReferenceGraph(const TopologySpec& spec) : spec_(spec) {
+    for (const auto& node : spec.nodes) adj_[node.id];
+    for (const auto& link : spec.links) {
+      adj_[link.a].insert(link.b);
+      adj_[link.b].insert(link.a);
+    }
+  }
+
+  /// Hop counts from `source`, never entering `removed`.
+  std::map<net::NodeId, int> hops(net::NodeId source,
+                                  net::NodeId removed = net::kInvalidNode) const {
+    std::map<net::NodeId, int> dist;
+    if (adj_.count(source) == 0 || source == removed) return dist;
+    dist[source] = 0;
+    std::deque<net::NodeId> frontier{source};
+    while (!frontier.empty()) {
+      const net::NodeId cur = frontier.front();
+      frontier.pop_front();
+      for (net::NodeId next : adj_.at(cur)) {
+        if (next == removed || dist.count(next) > 0) continue;
+        dist[next] = dist[cur] + 1;
+        frontier.push_back(next);
+      }
+    }
+    return dist;
+  }
+
+  int diameter() const {
+    int diameter = 0;
+    for (const auto& node : spec_.nodes) {
+      const auto dist = hops(node.id);
+      if (dist.size() != spec_.nodes.size()) return -1;
+      for (const auto& [other, h] : dist) diameter = std::max(diameter, h);
+    }
+    return diameter;
+  }
+
+  bool is_cut_vertex(net::NodeId id) const {
+    if (spec_.nodes.size() < 3) return false;
+    net::NodeId start = net::kInvalidNode;
+    for (const auto& node : spec_.nodes) {
+      if (node.id != id) {
+        start = node.id;
+        break;
+      }
+    }
+    return hops(start, id).size() != spec_.nodes.size() - 1;
+  }
+
+ private:
+  const TopologySpec& spec_;
+  std::map<net::NodeId, std::set<net::NodeId>> adj_;
+};
+
+/// Diameter, every gateway hop count and every node's cut-vertex verdict
+/// must match the reference.
+void expect_matches_reference(const TopologySpec& spec, const std::string& label) {
+  const TopologyAnalysis analysis = spec.analyze();
+  const ReferenceGraph ref(spec);
+  const int diameter = ref.diameter();
+  EXPECT_EQ(analysis.diameter, diameter) << label;
+  EXPECT_EQ(analysis.connected, diameter >= 0) << label;
+  EXPECT_EQ(spec.diameter(), diameter) << label;
+  const auto gateway_hops = ref.hops(spec.gateway());
+  for (const auto& node : spec.nodes) {
+    const auto it = gateway_hops.find(node.id);
+    EXPECT_EQ(analysis.hops_from_gateway(node.id),
+              it == gateway_hops.end() ? -1 : it->second)
+        << label << " node " << node.id;
+    EXPECT_EQ(analysis.is_cut_vertex(node.id), ref.is_cut_vertex(node.id))
+        << label << " node " << node.id;
+  }
+}
+
+/// A random world: sparse distinct ids, a random spanning tree (sometimes
+/// left with gaps, so some worlds are disconnected) plus random chords.
+TopologySpec random_world(std::uint64_t seed) {
+  util::Rng rng(seed);
+  TopologySpec spec;
+  const std::size_t count = 1 + rng.next_below(30);
+  std::set<net::NodeId> used;
+  for (std::size_t i = 0; i < count; ++i) {
+    net::NodeId id = 0;
+    do {
+      id = static_cast<net::NodeId>(1 + rng.next_below(300));
+    } while (!used.insert(id).second);
+    TopologyNode node;
+    node.id = id;
+    node.name = "n";
+    node.name += std::to_string(id);
+    node.role = i == 0 ? NodeRole::kGateway : NodeRole::kRelay;
+    spec.nodes.push_back(node);
+  }
+  std::set<std::pair<net::NodeId, net::NodeId>> links;
+  auto add = [&](net::NodeId a, net::NodeId b) {
+    if (a == b) return;
+    if (links.insert({std::min(a, b), std::max(a, b)}).second) {
+      spec.links.push_back({a, b, 0.0});
+    }
+  };
+  const double gap = rng.bernoulli(0.2) ? 0.15 : 0.0;
+  for (std::size_t i = 1; i < count; ++i) {
+    if (rng.bernoulli(gap)) continue;
+    add(spec.nodes[i].id, spec.nodes[rng.next_below(i)].id);
+  }
+  const std::size_t chords = rng.next_below(count + 1);
+  for (std::size_t i = 0; i < chords; ++i) {
+    add(spec.nodes[rng.next_below(count)].id, spec.nodes[rng.next_below(count)].id);
+  }
+  return spec;
+}
+
+TEST(TopologyAnalysisOracle, GeneratorWorldsMatchTheReference) {
+  expect_matches_reference(default_fig5_topology(), "fig5");
+  expect_matches_reference(default_fig5_topology(true), "fig5+c");
+  for (std::size_t n : {4u, 5u, 8u, 13u}) {
+    expect_matches_reference(line_topology(n, 1), "line" + std::to_string(n));
+  }
+  for (std::size_t n : {4u, 7u, 12u}) {
+    expect_matches_reference(star_topology(n), "star" + std::to_string(n));
+  }
+  for (auto [w, h] : {std::pair<std::size_t, std::size_t>{2, 3}, {5, 4}, {7, 2}, {6, 6}}) {
+    expect_matches_reference(grid_topology(w, h, 1),
+                             "grid" + std::to_string(w) + "x" + std::to_string(h));
+  }
+}
+
+TEST(TopologyAnalysisOracle, FuzzGeneratedWorldsMatchTheReference) {
+  const scenario::GeneratorConfig config;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    const TopologySpec spec = scenario::generate_spec(seed, config).topology();
+    expect_matches_reference(spec, "fuzz seed " + std::to_string(seed));
+  }
+}
+
+TEST(TopologyAnalysisOracle, RandomGraphsMatchTheReference) {
+  std::size_t disconnected = 0, with_cuts = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    const TopologySpec spec = random_world(seed);
+    expect_matches_reference(spec, "random seed " + std::to_string(seed));
+    const TopologyAnalysis analysis = spec.analyze();
+    if (!analysis.connected) ++disconnected;
+    if (std::any_of(analysis.cut_vertices.begin(), analysis.cut_vertices.end(),
+                    [](std::uint8_t c) { return c != 0; })) {
+      ++with_cuts;
+    }
+  }
+  // The generator must reach both regimes, or the oracle proves little.
+  EXPECT_GT(disconnected, 20u);
+  EXPECT_GT(with_cuts, 100u);
+}
+
+TEST(TopologyAnalysis, UnknownIdsAreNeitherReachableNorCut) {
+  const TopologyAnalysis analysis = line_topology(6).analyze();
+  EXPECT_EQ(analysis.hops_from_gateway(999), -1);
+  EXPECT_FALSE(analysis.is_cut_vertex(999));
+  EXPECT_FALSE(analysis.is_cut_vertex(net::kInvalidNode));
+}
+
+// --- The 1000-node tier, pinned -------------------------------------------
+
+/// FNV-1a over "id:parent;" for every tree member in ascending id order.
+std::string parent_fingerprint(const net::DisseminationTree& tree) {
+  std::string text;
+  for (net::NodeId id : tree.members()) {
+    text += std::to_string(id);
+    text += ':';
+    text += std::to_string(tree.parent(id));
+    text += ';';
+  }
+  return util::hash_hex(util::fnv1a64(text));
+}
+
+TEST(TopologySpecScale1000, DiameterPlanAndTreeParentsArePinned) {
+  auto scenario = scenario::ScenarioSpec::load_file(
+      std::string(EVM_REPO_SCENARIOS_DIR) + "/scale_sweep_1000.json");
+  ASSERT_TRUE(scenario.ok()) << scenario.status().to_string();
+  const TopologySpec spec = scenario->topology();
+  ASSERT_EQ(spec.nodes.size(), 1000u);
+  const TopologyAnalysis analysis = spec.analyze();
+  EXPECT_TRUE(analysis.connected);
+  EXPECT_EQ(analysis.diameter, 63);  // (40 - 1) + (25 - 1)
+  EXPECT_EQ(plan_schedule(spec, analysis, scenario->testbed.dissemination)
+                .slots.size(),
+            1088u);
+
+  // Fingerprints of the tree parents, captured before the flat BFS rewrite:
+  // the tree must pick the same lowest-id parents, lose and regain relay_3
+  // across its crash and restart exactly as before.
+  net::Topology graph = spec.to_topology();
+  const net::NodeId relay = spec.find_name("relay_3")->id;
+  const auto tree = [&] {
+    return net::DisseminationTree::compute(graph, spec.gateway(),
+                                           spec.dissemination_targets());
+  };
+  const net::DisseminationTree before = tree();
+  EXPECT_EQ(before.size(), 88u);
+  EXPECT_EQ(before.forwarder_count(), 84u);
+  EXPECT_EQ(parent_fingerprint(before), "d09282d769efb9f7");
+
+  graph.set_node_down(relay, true);
+  const net::DisseminationTree crashed = tree();
+  EXPECT_FALSE(crashed.contains(relay));
+  EXPECT_EQ(crashed.size(), 122u);
+  EXPECT_EQ(crashed.forwarder_count(), 117u);
+  EXPECT_EQ(parent_fingerprint(crashed), "e5bfcf0f2e4ad69a");
+
+  graph.set_node_down(relay, false);
+  const net::DisseminationTree restarted = tree();
+  EXPECT_EQ(restarted.members(), before.members());
+  for (net::NodeId id : before.members()) {
+    EXPECT_EQ(restarted.parent(id), before.parent(id)) << "node " << id;
+  }
+  EXPECT_EQ(parent_fingerprint(restarted), "d09282d769efb9f7");
 }
 
 }  // namespace
