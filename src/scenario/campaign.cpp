@@ -184,7 +184,7 @@ Json campaign_report(const ScenarioSpec& spec, const CampaignConfig& config,
   root.set("scenario", spec.name);
   // Deterministic content hash of the spec echo below: reports of the same
   // exact spec are groupable by it even across renamed scenario files, and
-  // the result store dedups runs by (spec_hash, seed).
+  // merge_campaign_reports refuses a report whose hash does not match it.
   root.set("spec_hash", spec.content_hash());
   root.set("spec", spec.to_json());
 

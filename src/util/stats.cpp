@@ -6,6 +6,16 @@
 #include <limits>
 
 namespace evm::util {
+namespace {
+
+/// Percentile rule shared by percentile() and summarize(): the element at
+/// index floor(p·(n−1)) of a sorted, non-empty sample, p clamped to [0, 1].
+double floor_rank(const std::vector<double>& sorted, double p) {
+  p = std::clamp(p, 0.0, 1.0);
+  return sorted[static_cast<std::size_t>(p * static_cast<double>(sorted.size() - 1))];
+}
+
+}  // namespace
 
 Json to_json(const SummaryStats& stats, const std::string& unit) {
   Json j = Json::object();
@@ -53,10 +63,7 @@ double Samples::stddev() const {
 
 double Samples::percentile(double p) const {
   if (values_.empty()) return 0.0;
-  const auto v = sorted();
-  p = std::clamp(p, 0.0, 1.0);
-  const auto index = static_cast<std::size_t>(p * static_cast<double>(v.size() - 1));
-  return v[index];
+  return floor_rank(sorted(), p);
 }
 
 SummaryStats Samples::summarize() const {
@@ -64,16 +71,13 @@ SummaryStats Samples::summarize() const {
   s.count = values_.size();
   if (values_.empty()) return s;
   const auto v = sorted();
-  auto rank = [&v](double p) {
-    return v[static_cast<std::size_t>(p * static_cast<double>(v.size() - 1))];
-  };
   s.min = v.front();
   s.max = v.back();
   s.mean = mean();
   s.stddev = stddev();
-  s.p50 = rank(0.5);
-  s.p90 = rank(0.9);
-  s.p99 = rank(0.99);
+  s.p50 = floor_rank(v, 0.5);
+  s.p90 = floor_rank(v, 0.9);
+  s.p99 = floor_rank(v, 0.99);
   return s;
 }
 

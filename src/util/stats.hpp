@@ -33,7 +33,9 @@ class Samples {
   double max() const;
   double mean() const;
   double stddev() const;
-  /// p in [0, 1]; nearest-rank on the sorted sample.
+  /// p in [0, 1]; the sorted sample's element at index floor(p·(n−1)) —
+  /// not nearest-rank, so with fewer than 101 samples p99 never reads the
+  /// largest element.
   double percentile(double p) const;
   double median() const { return percentile(0.5); }
 

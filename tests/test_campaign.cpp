@@ -1,8 +1,8 @@
 // Direct coverage of the campaign aggregation path: percentile math over
 // known sample sets fed through hand-built CampaignResults, the empty- and
-// single-seed edge cases, and the shared parallel_for worker pool (all of
-// which test_scenario.cpp previously exercised only indirectly, through
-// full simulator runs).
+// single-seed edge cases, shard merging and the spec hash it checks, and the
+// shared parallel_for worker pool (all of which test_scenario.cpp previously
+// exercised only indirectly, through full simulator runs).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -47,7 +47,7 @@ RunMetrics ok_run(std::uint64_t seed, double latency_s) {
 
 TEST(CampaignAggregation, PercentilesOverKnownSamples) {
   // Latencies 1..100 in scrambled seed order: the aggregate must sort, so
-  // p50/p90/p99 land on the nearest-rank values 50/90/99.
+  // p50/p90/p99 land on the floor-index values 50/90/99.
   CampaignConfig config;
   config.base_seed = 1;
   config.seeds = 100;
@@ -265,6 +265,42 @@ TEST(CampaignShards, MergeRejectsMismatchedAndDuplicateReports) {
   EXPECT_FALSE(mismatch.ok());
 
   EXPECT_FALSE(merge_campaign_reports({}).ok());
+}
+
+TEST(SpecHash, StableAcrossRoundTripAndSurfacedInReports) {
+  auto loaded = ScenarioSpec::load_file(std::string(EVM_REPO_SCENARIOS_DIR) +
+                                        "/baseline.json");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  const ScenarioSpec& spec = *loaded;
+  const std::string hash = spec.content_hash();
+  EXPECT_EQ(hash.size(), 16u);
+
+  // Round-tripping through JSON (as a report's spec echo is re-read on
+  // --merge) preserves it.
+  auto reparsed = ScenarioSpec::from_json(spec.to_json());
+  ASSERT_TRUE(reparsed.ok());
+  EXPECT_EQ(reparsed->content_hash(), hash);
+
+  // A different spec hashes differently.
+  ScenarioSpec other = spec;
+  other.horizon_s += 1.0;
+  EXPECT_NE(other.content_hash(), hash);
+
+  // Reports surface it, and the merged report re-derives the same value.
+  CampaignConfig config;
+  config.base_seed = 1;
+  config.seeds = 1;
+  CampaignResult result;
+  RunMetrics run;
+  run.seed = 1;
+  run.ok = true;
+  result.runs.push_back(run);
+  const util::Json report = campaign_report(spec, config, result);
+  ASSERT_NE(report.find("spec_hash"), nullptr);
+  EXPECT_EQ(report.find("spec_hash")->as_string(), hash);
+  auto merged = merge_campaign_reports({report});
+  ASSERT_TRUE(merged.ok());
+  EXPECT_EQ(merged->find("spec_hash")->as_string(), hash);
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {

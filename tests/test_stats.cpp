@@ -34,6 +34,20 @@ TEST(Samples, Percentiles) {
   EXPECT_NEAR(s.percentile(0.9), 90.0, 1.0);
 }
 
+TEST(Samples, FloorIndexRankPinsTodaysRule) {
+  // The fig6 failover latencies of five seeds: index floor(p·4) reads
+  // element 3 of the sorted sample for both p90 and p99, so the one slow
+  // seed shows up only in max.
+  Samples s;
+  for (double v : {2.04, 2.04, 2.04, 4.04, 2.04}) s.add(v);
+  EXPECT_DOUBLE_EQ(s.percentile(0.9), 2.04);
+  EXPECT_DOUBLE_EQ(s.percentile(0.99), 2.04);
+  const SummaryStats stats = s.summarize();
+  EXPECT_DOUBLE_EQ(stats.p90, 2.04);
+  EXPECT_DOUBLE_EQ(stats.p99, 2.04);
+  EXPECT_DOUBLE_EQ(stats.max, 4.04);
+}
+
 TEST(Samples, SummarizeMatchesIndividualAccessors) {
   Rng rng(17);
   Samples s;
