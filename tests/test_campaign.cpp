@@ -1,13 +1,17 @@
 // Direct coverage of the campaign aggregation path: percentile math over
 // known sample sets fed through hand-built CampaignResults, the empty- and
-// single-seed edge cases, shard merging and the spec hash it checks, and the
-// shared parallel_for worker pool (all of which test_scenario.cpp previously
-// exercised only indirectly, through full simulator runs).
+// single-seed edge cases, shard merging and the spec hash it checks, the
+// shared parallel_for worker pool, and report file output (all of which
+// test_scenario.cpp previously exercised only indirectly, through full
+// simulator runs).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -463,6 +467,358 @@ TEST(CampaignTiming, ProgressCallbackSeesEveryRunExactlyOnce) {
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(seed_hits[i].load(), 1) << "seed " << (30 + i);
     EXPECT_EQ(done_hits[i + 1].load(), 1) << "done " << (i + 1);
+  }
+}
+
+
+/// The report of shard `shard` of `count` over a hand-built campaign whose
+/// seed base_seed + i has failover latency latencies[i]; count == 1 is the
+/// unsharded campaign.
+util::Json striped_report(const ScenarioSpec& spec, std::uint64_t base_seed,
+                          const std::vector<double>& latencies, std::size_t shard,
+                          std::size_t count) {
+  CampaignConfig config;
+  config.base_seed = base_seed;
+  config.seeds = latencies.size();
+  config.shard_index = shard;
+  config.shard_count = count;
+  CampaignResult result;
+  for (std::size_t i = shard; i < latencies.size(); i += count) {
+    result.runs.push_back(ok_run(base_seed + i, latencies[i]));
+  }
+  return campaign_report(spec, config, result);
+}
+
+/// A copy of `report` with member `key` replaced by `value` (or dropped,
+/// when `value` is null), keeping every other member in place.
+util::Json with_member(const util::Json& report, const std::string& key,
+                       const util::Json* value) {
+  util::Json out = util::Json::object();
+  for (const auto& [k, v] : report.members()) {
+    if (k != key) {
+      out.set(k, v);
+    } else if (value != nullptr) {
+      out.set(k, *value);
+    }
+  }
+  return out;
+}
+
+TEST(CampaignShards, RealShardedRunsMergeToTheDirectCampaignModuloTiming) {
+  // The guarantee `run_scenario --shard K/N` + `--merge` rests on, over
+  // real simulator runs rather than hand-built metrics: three uneven
+  // shards of a 7-seed campaign, written to disk and read back, merge to
+  // the single-invocation report byte for byte once timing is stripped.
+  auto loaded = ScenarioSpec::load_file(std::string(EVM_REPO_SCENARIOS_DIR) +
+                                        "/baseline.json");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  ScenarioSpec spec = *loaded;
+  spec.horizon_s = 15.0;
+
+  CampaignConfig config;
+  config.base_seed = 3;
+  config.seeds = 7;
+  config.jobs = 2;
+  const CampaignResult direct = run_campaign(spec, config);
+  ASSERT_EQ(direct.runs.size(), 7u);
+  EXPECT_TRUE(direct.all_ok());
+  const util::Json direct_report = campaign_report(spec, config, direct);
+
+  std::vector<util::Json> shard_reports;
+  for (std::size_t shard = 0; shard < 3; ++shard) {
+    CampaignConfig shard_config = config;
+    shard_config.shard_index = shard;
+    shard_config.shard_count = 3;
+    const CampaignResult result = run_campaign(spec, shard_config);
+    EXPECT_EQ(result.runs.size(), shard == 0 ? 3u : 2u);
+    auto reparsed =
+        util::Json::parse(campaign_report(spec, shard_config, result).dump());
+    ASSERT_TRUE(reparsed.ok());
+    shard_reports.push_back(std::move(*reparsed));
+  }
+  auto merged = merge_campaign_reports(shard_reports);
+  ASSERT_TRUE(merged.ok()) << merged.status().to_string();
+  EXPECT_EQ(strip_timing(*merged).dump(), strip_timing(direct_report).dump());
+}
+
+TEST(CampaignShards, UnevenThreeWayMergeReproducesTheFullCampaign) {
+  const ScenarioSpec spec = minimal_spec();
+  const std::vector<double> latencies = {3.0, 1.5, 8.0, 2.0, 6.5, 4.0, 0.5};
+  std::vector<util::Json> shards;
+  for (std::size_t shard = 0; shard < 3; ++shard) {
+    shards.push_back(striped_report(spec, 20, latencies, shard, 3));
+  }
+  EXPECT_EQ(shards[0].find("runs")->size(), 3u);
+  EXPECT_EQ(shards[2].find("runs")->size(), 2u);
+  auto merged = merge_campaign_reports(shards);
+  ASSERT_TRUE(merged.ok()) << merged.status().to_string();
+  EXPECT_EQ(merged->dump(), striped_report(spec, 20, latencies, 0, 1).dump());
+}
+
+TEST(CampaignShards, MergeIsIndependentOfReportOrder) {
+  // Shard reports arrive in whatever order the CI jobs finish; the merged
+  // report is seed-sorted, so every order yields the same bytes.
+  const ScenarioSpec spec = minimal_spec();
+  const std::vector<double> latencies = {5.0, 1.0, 4.0, 2.0, 3.0, 6.0};
+  std::vector<util::Json> shards;
+  for (std::size_t shard = 0; shard < 3; ++shard) {
+    shards.push_back(striped_report(spec, 1, latencies, shard, 3));
+  }
+  auto forward = merge_campaign_reports(shards);
+  ASSERT_TRUE(forward.ok());
+  std::vector<std::size_t> order = {0, 1, 2};
+  while (std::next_permutation(order.begin(), order.end())) {
+    std::vector<util::Json> permuted;
+    for (std::size_t i : order) permuted.push_back(shards[i]);
+    auto merged = merge_campaign_reports(permuted);
+    ASSERT_TRUE(merged.ok());
+    EXPECT_EQ(merged->dump(), forward->dump());
+  }
+}
+
+TEST(CampaignShards, PartialMergeSaysHowManyRunsItHolds) {
+  // One shard of two is not the full campaign: the merged block records
+  // merged_runs so the report cannot pass for the complete matrix.
+  const ScenarioSpec spec = minimal_spec();
+  const std::vector<double> latencies = {1.0, 2.0, 3.0, 4.0, 5.0};
+  auto partial = merge_campaign_reports({striped_report(spec, 1, latencies, 1, 2)});
+  ASSERT_TRUE(partial.ok());
+  const util::Json* campaign = partial->find("campaign");
+  EXPECT_EQ(campaign->find("seeds")->as_int(), 5);
+  ASSERT_NE(campaign->find("merged_runs"), nullptr);
+  EXPECT_EQ(campaign->find("merged_runs")->as_int(), 2);
+
+  auto full = merge_campaign_reports({striped_report(spec, 1, latencies, 0, 2),
+                                      striped_report(spec, 1, latencies, 1, 2)});
+  ASSERT_TRUE(full.ok());
+  EXPECT_EQ(full->find("campaign")->find("merged_runs"), nullptr);
+}
+
+TEST(CampaignShards, MergedCampaignBlockDropsShardProvenance) {
+  // Shard reports carry shard_index/shard_count; the merge is the whole
+  // campaign again, so its block is the unsharded one.
+  const ScenarioSpec spec = minimal_spec();
+  const std::vector<double> latencies = {1.0, 2.0, 3.0, 4.0};
+  const util::Json shard = striped_report(spec, 40, latencies, 1, 2);
+  EXPECT_EQ(shard.find("campaign")->find("shard_index")->as_int(), 1);
+  auto merged = merge_campaign_reports({striped_report(spec, 40, latencies, 0, 2), shard});
+  ASSERT_TRUE(merged.ok());
+  const util::Json* campaign = merged->find("campaign");
+  EXPECT_EQ(campaign->find("base_seed")->as_int(), 40);
+  EXPECT_EQ(campaign->find("seeds")->as_int(), 4);
+  EXPECT_EQ(campaign->find("shard_index"), nullptr);
+  EXPECT_EQ(campaign->find("shard_count"), nullptr);
+}
+
+TEST(CampaignShards, UnshardedReportCarriesNoShardFields) {
+  const util::Json report =
+      striped_report(minimal_spec(), 1, {1.0, 2.0}, 0, 1);
+  const util::Json* campaign = report.find("campaign");
+  ASSERT_NE(campaign, nullptr);
+  EXPECT_EQ(campaign->find("shard_index"), nullptr);
+  EXPECT_EQ(campaign->find("shard_count"), nullptr);
+}
+
+TEST(CampaignShards, MergingOneFullReportReproducesIt) {
+  const util::Json report =
+      striped_report(minimal_spec(), 11, {2.0, 9.0, 4.5}, 0, 1);
+  auto merged = merge_campaign_reports({report});
+  ASSERT_TRUE(merged.ok());
+  EXPECT_EQ(merged->dump(), report.dump());
+}
+
+TEST(CampaignShards, MergeRejectsATamperedSpecHash) {
+  // A report whose spec_hash disagrees with its own spec echo was edited
+  // or mis-assembled; folding it in would mislabel the merged report.
+  const ScenarioSpec spec = minimal_spec();
+  const std::vector<double> latencies = {1.0, 2.0};
+  const util::Json bogus("0123456789abcdef");
+  const util::Json tampered =
+      with_member(striped_report(spec, 1, latencies, 1, 2), "spec_hash", &bogus);
+  auto merged = merge_campaign_reports({striped_report(spec, 1, latencies, 0, 2), tampered});
+  ASSERT_FALSE(merged.ok());
+  EXPECT_NE(merged.status().to_string().find("spec_hash"), std::string::npos);
+}
+
+TEST(CampaignShards, MergeDerivesTheHashForReportsWithoutOne) {
+  // Reports written before the field existed still merge, and the merged
+  // report carries the hash recomputed from the spec echo.
+  const ScenarioSpec spec = minimal_spec();
+  const util::Json legacy =
+      with_member(striped_report(spec, 1, {1.0, 2.0}, 0, 1), "spec_hash", nullptr);
+  ASSERT_EQ(legacy.find("spec_hash"), nullptr);
+  auto merged = merge_campaign_reports({legacy});
+  ASSERT_TRUE(merged.ok()) << merged.status().to_string();
+  ASSERT_NE(merged->find("spec_hash"), nullptr);
+  EXPECT_EQ(merged->find("spec_hash")->as_string(), spec.content_hash());
+}
+
+TEST(CampaignShards, MergeRejectsASameNamedReportOfADifferentSpec) {
+  // Same scenario name, different horizon: the spec echo, not the name,
+  // decides whether two reports are shards of one campaign.
+  const ScenarioSpec spec = minimal_spec();
+  ScenarioSpec longer = spec;
+  longer.horizon_s += 5.0;
+  const std::vector<double> latencies = {1.0, 2.0};
+  auto merged = merge_campaign_reports({striped_report(spec, 1, latencies, 0, 2),
+                                        striped_report(longer, 1, latencies, 1, 2)});
+  EXPECT_FALSE(merged.ok());
+}
+
+TEST(CampaignShards, MergeRejectsReportsMissingRequiredBlocks) {
+  const ScenarioSpec spec = minimal_spec();
+  const std::vector<double> latencies = {1.0, 2.0};
+  const util::Json good = striped_report(spec, 1, latencies, 0, 2);
+  const util::Json other = striped_report(spec, 1, latencies, 1, 2);
+  for (const char* key : {"scenario", "spec"}) {
+    EXPECT_FALSE(merge_campaign_reports({with_member(good, key, nullptr), other}).ok())
+        << "first report without " << key;
+    EXPECT_FALSE(merge_campaign_reports({good, with_member(other, key, nullptr)}).ok())
+        << "later report without " << key;
+  }
+  EXPECT_FALSE(merge_campaign_reports({good, with_member(other, "runs", nullptr)}).ok());
+  const util::Json not_an_array("runs");
+  EXPECT_FALSE(merge_campaign_reports({good, with_member(other, "runs", &not_an_array)}).ok());
+}
+
+TEST(CampaignShards, FailedRunsKeepTheirCountThroughAMerge) {
+  // The merge path re-reads runs from JSON; a failed run's latency must
+  // stay out of the aggregate there exactly as on the direct path.
+  const ScenarioSpec spec = minimal_spec();
+  CampaignConfig full_config;
+  full_config.base_seed = 1;
+  full_config.seeds = 4;
+  CampaignResult full;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    RunMetrics run = ok_run(1 + i, 1.0 + static_cast<double>(i));
+    if (i == 2) {
+      run.ok = false;
+      run.error = "boom";
+    }
+    full.runs.push_back(run);
+  }
+  std::vector<util::Json> shards;
+  for (std::size_t shard = 0; shard < 2; ++shard) {
+    CampaignConfig config = full_config;
+    config.shard_index = shard;
+    config.shard_count = 2;
+    CampaignResult result;
+    for (std::size_t i = shard; i < 4; i += 2) result.runs.push_back(full.runs[i]);
+    shards.push_back(campaign_report(spec, config, result));
+  }
+  auto merged = merge_campaign_reports(shards);
+  ASSERT_TRUE(merged.ok());
+  const util::Json* aggregate = merged->find("aggregate");
+  EXPECT_EQ(aggregate->find("runs_ok")->as_int(), 3);
+  EXPECT_EQ(aggregate->find("runs_failed")->as_int(), 1);
+  EXPECT_DOUBLE_EQ(aggregate->find("failover_latency_s")->find("max")->as_double(), 4.0);
+  EXPECT_EQ(merged->find("aggregate")->dump(),
+            campaign_report(spec, full_config, full).find("aggregate")->dump());
+}
+
+TEST(CampaignShards, OutOfRangeShardOwnsNoSeeds) {
+  // Running some other shard's seeds instead would poison a later merge.
+  ScenarioSpec spec = minimal_spec();
+  spec.testbed.control_period = util::Duration::micros(10);  // fail fast
+  CampaignConfig config;
+  config.seeds = 4;
+  config.shard_index = 3;
+  config.shard_count = 3;
+  const CampaignResult result = run_campaign(spec, config);
+  EXPECT_TRUE(result.runs.empty());
+  EXPECT_EQ(result.wall_ms, 0.0);
+}
+
+TEST(CampaignShards, ZeroShardCountRunsTheWholeCampaign) {
+  ScenarioSpec spec = minimal_spec();
+  spec.testbed.control_period = util::Duration::micros(10);  // fail fast
+  CampaignConfig config;
+  config.base_seed = 7;
+  config.seeds = 3;
+  config.shard_count = 0;
+  const CampaignResult result = run_campaign(spec, config);
+  ASSERT_EQ(result.runs.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(result.runs[i].seed, 7u + i);
+}
+
+TEST(CampaignAggregation, OkRunsWithoutAFailoverStayOutOfTheLatencySummary) {
+  // A run that completed but never saw a failover (latency < 0) counts as
+  // ok and feeds every other series, but not failover latency.
+  CampaignConfig config;
+  config.seeds = 3;
+  CampaignResult result;
+  result.runs.push_back(ok_run(1, 3.0));
+  RunMetrics quiet = ok_run(2, 0.0);
+  quiet.failover_latency_s = -1.0;
+  result.runs.push_back(quiet);
+  result.runs.push_back(ok_run(3, 5.0));
+  const util::Json aggregate =
+      *campaign_report(minimal_spec(), config, result).find("aggregate");
+  EXPECT_EQ(aggregate.find("runs_ok")->as_int(), 3);
+  EXPECT_EQ(aggregate.find("failovers_detected")->as_int(), 2);
+  EXPECT_EQ(aggregate.find("failover_latency_s")->find("count")->as_int(), 2);
+  EXPECT_DOUBLE_EQ(aggregate.find("failover_latency_s")->find("min")->as_double(), 3.0);
+  EXPECT_EQ(aggregate.find("missed_deadlines")->find("count")->as_int(), 3);
+}
+
+/// A fresh, empty directory for one test's report files.
+std::filesystem::path report_scratch_dir() {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string leaf = "evm_reports_";
+  leaf += info->name();
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() / leaf;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+TEST(CampaignReportFile, WritesASanitizedNameAndReadsBackIdentically) {
+  const std::filesystem::path dir = report_scratch_dir() / "nested";
+  const util::Json report = striped_report(minimal_spec(), 1, {1.0, 2.0}, 0, 1);
+  auto path = write_campaign_report(report, "fig 6/fail-over", dir.string());
+  ASSERT_TRUE(path.ok()) << path.status().to_string();
+  EXPECT_EQ(std::filesystem::path(*path), dir / "scenario_fig_6_fail_over.json");
+  auto loaded = util::load_json_file(*path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded->dump(), report.dump());
+  std::filesystem::remove_all(dir.parent_path());
+}
+
+TEST(CampaignReportFile, EmptyScenarioNameStillGetsAFileName) {
+  const std::filesystem::path dir = report_scratch_dir();
+  auto path = write_campaign_report(util::Json::object(), "", dir.string());
+  ASSERT_TRUE(path.ok()) << path.status().to_string();
+  EXPECT_EQ(std::filesystem::path(*path).filename(), "scenario_scenario.json");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CampaignReportFile, UncreatableDirectoryIsAnError) {
+  // A regular file where the directory should be: create_directories fails
+  // and the error names the path instead of writing nowhere.
+  const std::filesystem::path dir = report_scratch_dir();
+  std::filesystem::create_directories(dir);
+  const std::filesystem::path blocker = dir / "not_a_dir";
+  std::ofstream(blocker) << "x";
+  auto path = write_campaign_report(util::Json::object(), "s",
+                                    (blocker / "out").string());
+  ASSERT_FALSE(path.ok());
+  EXPECT_NE(path.status().to_string().find("not_a_dir"), std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CampaignReportFile, ReportDirFollowsBenchOut) {
+  const char* saved = std::getenv("EVM_BENCH_OUT");
+  const std::string restore = saved != nullptr ? saved : "";
+  ::unsetenv("EVM_BENCH_OUT");
+  EXPECT_EQ(report_dir(), "bench/out");
+  ::setenv("EVM_BENCH_OUT", "", 1);
+  EXPECT_EQ(report_dir(), "bench/out");  // empty means unset
+  ::setenv("EVM_BENCH_OUT", "/tmp/evm_reports_elsewhere", 1);
+  EXPECT_EQ(report_dir(), "/tmp/evm_reports_elsewhere");
+  if (saved != nullptr) {
+    ::setenv("EVM_BENCH_OUT", restore.c_str(), 1);
+  } else {
+    ::unsetenv("EVM_BENCH_OUT");
   }
 }
 

@@ -48,6 +48,38 @@ TEST(Samples, FloorIndexRankPinsTodaysRule) {
   EXPECT_DOUBLE_EQ(stats.max, 4.04);
 }
 
+TEST(Samples, PercentileClampsOutOfRangeP) {
+  Samples s;
+  for (double v : {3.0, 1.0, 2.0}) s.add(v);
+  EXPECT_DOUBLE_EQ(s.percentile(-0.5), 1.0);
+  EXPECT_DOUBLE_EQ(s.percentile(1.5), 3.0);
+}
+
+TEST(Samples, SingleSampleCollapsesEverySummaryField) {
+  Samples s;
+  s.add(7.25);
+  const SummaryStats stats = s.summarize();
+  EXPECT_EQ(stats.count, 1u);
+  for (double v : {stats.min, stats.max, stats.mean, stats.p50, stats.p90, stats.p99}) {
+    EXPECT_DOUBLE_EQ(v, 7.25);
+  }
+  EXPECT_DOUBLE_EQ(stats.stddev, 0.0);
+}
+
+TEST(Samples, PercentileIgnoresInsertionOrder) {
+  // Samples arrive in seed order from a campaign but completion order from
+  // a merge; the rank is taken over the sorted sample either way.
+  Samples ascending, scrambled;
+  for (int i = 0; i < 20; ++i) {
+    ascending.add(static_cast<double>(i));
+    scrambled.add(static_cast<double>((i * 7) % 20));
+  }
+  for (double p : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_DOUBLE_EQ(scrambled.percentile(p), ascending.percentile(p)) << p;
+  }
+  EXPECT_DOUBLE_EQ(scrambled.percentile(0.5), 9.0);  // index floor(0.5 * 19)
+}
+
 TEST(Samples, SummarizeMatchesIndividualAccessors) {
   Rng rng(17);
   Samples s;

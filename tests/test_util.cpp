@@ -4,6 +4,7 @@
 
 #include "util/bytes.hpp"
 #include "util/crc.hpp"
+#include "util/hash.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
@@ -11,6 +12,35 @@
 
 namespace evm::util {
 namespace {
+
+// --- Hash -------------------------------------------------------------------
+
+TEST(Hash, Fnv1a64KnownVectors) {
+  // Published FNV-1a 64-bit test vectors: spec hashes are only comparable
+  // across machines if the function is exactly FNV-1a.
+  EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ULL);
+}
+
+TEST(Hash, SeedContinuesAnEarlierHash) {
+  EXPECT_EQ(fnv1a64("bar", fnv1a64("foo")), fnv1a64("foobar"));
+  EXPECT_NE(fnv1a64("bar"), fnv1a64("foobar"));
+}
+
+TEST(Hash, HexIsFixedWidthLowercase) {
+  EXPECT_EQ(hash_hex(0), "0000000000000000");
+  EXPECT_EQ(hash_hex(0xDEADBEEFULL), "00000000deadbeef");
+  EXPECT_EQ(hash_hex(~0ULL), "ffffffffffffffff");
+  EXPECT_EQ(hash_hex(0x0123456789ABCDEFULL), "0123456789abcdef");
+}
+
+TEST(Hash, ContentHashIsTheHexOfFnv1a) {
+  EXPECT_EQ(content_hash(""), "cbf29ce484222325");
+  const std::string dump = R"({"name":"fig6","horizon_s":360})";
+  EXPECT_EQ(content_hash(dump), hash_hex(fnv1a64(dump)));
+  EXPECT_NE(content_hash(dump), content_hash(dump + " "));
+}
 
 // --- Time -------------------------------------------------------------------
 
