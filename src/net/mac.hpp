@@ -45,10 +45,14 @@ class Mac {
 
   /// Control-plane priority lane: when enabled, unicast packets (fault
   /// reports, mode commands — the low-rate control plane) drain ahead of
-  /// queued broadcast relays. In saturated multi-hop worlds the shared FIFO
-  /// otherwise makes every control hop wait out the standing flood traffic,
-  /// turning a 33-hop command into minutes of transit. Off by default so
-  /// historical single-queue scenarios stay bit-stable.
+  /// queued broadcasts; each lane stays FIFO. The testbed builder enables
+  /// it on every node of a multi-hop world, where the shared FIFO would
+  /// make every control hop wait out the standing relay traffic, turning a
+  /// 33-hop command into minutes of transit. Off by default: single-hop
+  /// EVM protocols rely on one FIFO, and with the lane on
+  /// ServiceFixture.GracefulDegradationChain records 11 failovers instead
+  /// of 2 while FunctionMigrationMovesStateAndMode and
+  /// ReplicationKeepsSourceActive never reach kActive.
   void set_unicast_priority(bool on) { unicast_priority_ = on; }
 
   const MacStats& stats() const { return stats_; }

@@ -143,19 +143,7 @@ util::Status Router::forward(Datagram d) {
     if (d.beacon.valid()) ++tagged_broadcast_sends_;
     return mac_.send(std::move(packet));
   }
-  std::optional<NodeId> hop;
-  if (head_bound_tree_unicast_ && mode_ == BroadcastMode::kTree &&
-      tree_cache_ != nullptr) {
-    // Root-bound unicasts climb the dissemination tree: every parent is a
-    // forwarder with a mirror-pass slot, so the datagram chains inward
-    // within a single frame (see plan_schedule's mirror pass).
-    const DisseminationTree& tree = tree_cache_->tree();
-    if (d.destination == tree.root()) {
-      const NodeId parent = tree.parent(id());
-      if (parent != kInvalidNode) hop = parent;
-    }
-  }
-  if (!hop.has_value()) hop = topology_.next_hop(id(), d.destination);
+  const std::optional<NodeId> hop = topology_.next_hop(id(), d.destination);
   if (!hop.has_value()) {
     return util::Status::unavailable("no route to node " +
                                      std::to_string(d.destination));

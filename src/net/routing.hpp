@@ -97,16 +97,6 @@ class Router {
     tree_cache_ = cache;
   }
   BroadcastMode broadcast_mode() const { return mode_; }
-  /// Route unicasts addressed to the tree root up the parent chain instead
-  /// of over an arbitrary shortest path. Every parent on the chain is a
-  /// tree forwarder and owns a mirror-pass TX slot, so a root-bound
-  /// datagram (fault report, any head-addressed command reply) chains
-  /// inward within one RT-Link frame instead of paying one frame per hop
-  /// through out-of-tree relays. Falls back to shortest-path when the
-  /// destination is not the (possibly re-rooted) tree root or this node is
-  /// off the tree.
-  void set_head_bound_tree_unicast(bool on) { head_bound_tree_unicast_ = on; }
-  bool head_bound_tree_unicast() const { return head_bound_tree_unicast_; }
   /// True when this node takes part in the broadcast dissemination
   /// structure (always, except for nodes outside the tree in kTree mode).
   /// Out-of-tree pure relays neither receive the beacon plane reliably nor
@@ -175,7 +165,6 @@ class Router {
   /// node relayed (or suppressed); unchanged counter = silent link.
   std::size_t tagged_sends_at_last_probe_ = 0;
   BroadcastMode mode_ = BroadcastMode::kSingleHop;
-  bool head_bound_tree_unicast_ = false;
   const DisseminationTreeCache* tree_cache_ = nullptr;
   BeaconTag beacon_tag_;
   std::uint8_t default_ttl_ = 8;

@@ -233,18 +233,6 @@ Result<ScenarioSpec> ScenarioSpec::from_json(const Json& json) {
     if (!cfg.promotion_timeout.is_positive()) {
       return Status::invalid_argument("'promotion_timeout_s' must be positive");
     }
-    if (const Json* v = tb->find("head_bound_tree_unicast")) {
-      if (!v->is_bool()) {
-        return Status::invalid_argument("'head_bound_tree_unicast' must be a boolean");
-      }
-      cfg.head_bound_tree_unicast = v->as_bool();
-    }
-    if (const Json* v = tb->find("mac_unicast_priority")) {
-      if (!v->is_bool()) {
-        return Status::invalid_argument("'mac_unicast_priority' must be a boolean");
-      }
-      cfg.mac_unicast_priority = v->as_bool();
-    }
     double head_beacon_s = cfg.head_beacon_period.to_seconds();
     if (Status s = read_number(*tb, "head_beacon_s", head_beacon_s); !s) return s;
     cfg.head_beacon_period = util::Duration::from_seconds(head_beacon_s);
@@ -514,6 +502,7 @@ Json ScenarioSpec::to_json() const {
   tb.set("evidence_threshold", static_cast<std::int64_t>(testbed.evidence_threshold));
   tb.set("dormant_delay_s", testbed.dormant_delay.to_seconds());
   tb.set("promotion_timeout_s", testbed.promotion_timeout.to_seconds());
+  tb.set("head_beacon_s", testbed.head_beacon_period.to_seconds());
   tb.set("level_setpoint", testbed.level_setpoint);
   tb.set("third_controller", testbed.third_controller);
   tb.set("link_loss", testbed.link_loss);

@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "net/dissemination.hpp"
 #include "net/medium.hpp"
 #include "net/routing.hpp"
 #include "net/rtlink.hpp"
 #include "net/tree_routing.hpp"
+#include "scenario/spec.hpp"
 #include "testbed/topology_spec.hpp"
 
 namespace evm::net {
@@ -160,6 +164,39 @@ TEST(DisseminationTreeCache, RecomputesOnlyWhenTheTopologyMutates) {
   topo.set_node_down(spec.relays()[0], true);
   EXPECT_GT(topo.version(), before);
   EXPECT_FALSE(cache.tree().contains(spec.relays()[0]));
+}
+
+// --- Shipped worlds: unicasts to the root climb the tree --------------------
+
+TEST(DisseminationTree, ShortestPathToTheRootIsTheTreeParentInShippedWorlds) {
+  // Fault reports travel as unicasts to the head on Topology::next_hop. In
+  // every shipped multi-hop world that hop is the tree parent, so they ride
+  // the tree's mirror-pass slots; a BFS or next-hop tie-break change that
+  // splits the two would send them through out-of-tree relays instead.
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(EVM_REPO_SCENARIOS_DIR)) {
+    if (entry.path().extension() == ".json") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  std::size_t worlds = 0;
+  for (const auto& file : files) {
+    auto scenario = scenario::ScenarioSpec::load_file(file.string());
+    ASSERT_TRUE(scenario.ok()) << scenario.status().to_string();
+    const TopologySpec spec = scenario->topology();
+    if (!spec.multi_hop()) continue;
+    ++worlds;
+    const Topology topo = spec.to_topology();
+    const auto tree =
+        DisseminationTree::compute(topo, spec.gateway(), targets_of(spec));
+    ASSERT_EQ(tree.root(), spec.gateway()) << file;
+    for (NodeId n : tree.members()) {
+      if (n == tree.root()) continue;
+      EXPECT_EQ(topo.next_hop(n, tree.root()), tree.parent(n))
+          << file.filename() << ": node " << n;
+    }
+  }
+  EXPECT_GE(worlds, 8u);
 }
 
 // --- Router integration: scoped relaying and its cost -----------------------

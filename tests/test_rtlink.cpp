@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "net/medium.hpp"
 #include "net/rtlink.hpp"
@@ -22,17 +23,43 @@ struct RtLinkFixture : ::testing::Test {
   };
   std::map<NodeId, NodeStack> nodes;
 
-  RtLink& make_node(NodeId id, double drift_ppm = 10.0) {
+  RtLink& make_node(NodeId id, double drift_ppm = 10.0,
+                    std::size_t queue_capacity = 32) {
     auto& stack = nodes[id];
     stack.clock.set_drift_ppm(drift_ppm);
     stack.radio = std::make_unique<Radio>(sim, medium, id);
-    stack.mac = std::make_unique<RtLink>(sim, *stack.radio, stack.clock, schedule);
+    stack.mac = std::make_unique<RtLink>(sim, *stack.radio, stack.clock,
+                                         schedule, queue_capacity);
     sync.attach(id, stack.clock);
     return *stack.mac;
   }
 
   void run_for(util::Duration d) {
     sim.run_until(sim.now() + d);
+  }
+
+  /// Queue broadcasts 1, 2, 4 and unicasts 3, 5 (node 1 -> node 2, tagged
+  /// by their first payload byte) before the first frame, then return the
+  /// tags in the order node 2 received them. Node 1 owns one slot per
+  /// frame, so the receive order is the MAC's drain order.
+  std::vector<int> drain_order(bool unicast_priority) {
+    schedule.assign_tx(0, 1);
+    RtLink& a = make_node(1);
+    RtLink& b = make_node(2);
+    a.set_unicast_priority(unicast_priority);
+    std::vector<int> order;
+    b.set_receive_handler([&](const Packet& p) { order.push_back(p.payload[0]); });
+    sync.start();
+    a.start();
+    b.start();
+    for (std::uint8_t tag = 1; tag <= 5; ++tag) {
+      Packet p;
+      p.dst = tag == 3 || tag == 5 ? NodeId{2} : kBroadcast;
+      p.payload = {tag};
+      EXPECT_TRUE(a.send(p));
+    }
+    run_for(schedule.frame_length() * 8);
+    return order;
   }
 };
 
@@ -238,6 +265,36 @@ TEST_F(RtLinkFixture, DriftWithinGuardStillDelivers) {
   }
   run_for(util::Duration::seconds(2));
   EXPECT_GE(received, 18);
+}
+
+TEST_F(RtLinkFixture, UnicastPriorityLaneDrainsUnicastsFirst) {
+  // Unicasts overtake the broadcasts queued ahead of them; each lane stays
+  // FIFO.
+  EXPECT_EQ(drain_order(true), (std::vector<int>{3, 5, 1, 2, 4}));
+}
+
+TEST_F(RtLinkFixture, WithoutThePriorityLaneOneFifo) {
+  EXPECT_EQ(drain_order(false), (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+TEST_F(RtLinkFixture, FullPriorityLaneCountsAQueueDrop) {
+  schedule.assign_tx(0, 1);
+  RtLink& a = make_node(1, 10.0, /*queue_capacity=*/2);
+  a.set_unicast_priority(true);
+  Packet unicast;
+  unicast.dst = 2;
+  ASSERT_TRUE(a.send(unicast));
+  ASSERT_TRUE(a.send(unicast));
+  const util::Status full = a.send(unicast);
+  EXPECT_EQ(full.code(), util::StatusCode::kResourceExhausted);
+  EXPECT_EQ(a.stats().queue_drops, 1u);
+  EXPECT_EQ(a.stats().enqueued, 3u);
+  // The broadcast lane has its own capacity and still accepts.
+  Packet broadcast;
+  broadcast.dst = kBroadcast;
+  EXPECT_TRUE(a.send(broadcast));
+  EXPECT_EQ(a.stats().queue_drops, 1u);
+  EXPECT_EQ(a.queue_depth(), 3u);
 }
 
 }  // namespace
