@@ -81,8 +81,8 @@ class EvmService {
   std::size_t fault_reports_sent() const { return fault_reports_sent_; }
   /// Head-side: beacon periods where the explicit beacon broadcast was
   /// withheld because data-plane frames already carried the beacon tag
-  /// (each one is an RT-Link transmission — N slots under flooding —
-  /// reclaimed by piggy-backing).
+  /// (each one is an RT-Link transmission — plus one per tree relay on
+  /// multi-hop worlds — reclaimed by piggy-backing).
   std::size_t beacons_suppressed() const { return beacons_suppressed_; }
 
   /// Opt-in event tracing (nullptr disables): "head.elect", "promote" and

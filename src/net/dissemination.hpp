@@ -1,10 +1,10 @@
 // Scoped dissemination: a shortest-path spanning tree rooted at the VC head
 // (the gateway), pruned to the nodes that actually consume broadcast-plane
-// traffic — the replica set plus the sensor/actuator/gateway roles. Instead
-// of the PR 4 flood, where every node re-broadcasts every unique datagram
-// (one RT-Link slot per node per datagram), only the tree's interior nodes
-// relay, so multicast cost scales with the tree, not the network. The tree
-// is recomputed from the *live* topology — link state AND node liveness, the
+// traffic — the replica set plus the sensor/actuator/gateway roles. It is
+// the one relay structure of every multi-hop world: only the tree's interior
+// nodes re-broadcast (one RT-Link slot each per unique datagram), so
+// multicast cost scales with the tree, not the network. The tree is
+// recomputed from the *live* topology — link state AND node liveness, the
 // link-estimator view — whenever the topology mutates, which is what closes
 // the route-liveness hole: a scripted link_up firing while a node is crashed
 // cannot resurrect a dissemination path through the corpse, and losing a
@@ -85,9 +85,6 @@ class DisseminationTreeCache {
     }
     return cached_;
   }
-
-  NodeId configured_root() const { return root_; }
-  const std::vector<NodeId>& targets() const { return targets_; }
 
  private:
   const Topology& topology_;

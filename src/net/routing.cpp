@@ -8,8 +8,8 @@ namespace evm::net {
 
 namespace {
 /// Broadcast dedup window per source. Bounds memory; deep enough that a
-/// flooded copy still in flight cannot out-live its entry at any realistic
-/// fan-out (a 20-node grid re-broadcasts each seq at most once per node).
+/// relayed copy still in flight cannot out-live its entry at any realistic
+/// fan-out (each tree relay re-broadcasts a seq at most once).
 constexpr std::size_t kSeenWindow = 64;
 
 /// Serial-number arithmetic on the 16-bit beacon seq (same convention as
@@ -108,24 +108,15 @@ bool Router::remember(NodeId source, std::uint16_t seq) {
 }
 
 bool Router::participates_in_dissemination() const {
-  if (mode_ != BroadcastMode::kTree || tree_cache_ == nullptr) return true;
-  return tree_cache_->tree().contains(id());
+  return tree_cache_ == nullptr || tree_cache_->tree().contains(id());
 }
 
 bool Router::should_relay_broadcast() const {
-  switch (mode_) {
-    case BroadcastMode::kSingleHop:
-      return false;
-    case BroadcastMode::kFlood:
-      return true;
-    case BroadcastMode::kTree:
-      // Interior tree nodes relay; leaves and out-of-tree nodes stay quiet.
-      // The tree itself is liveness-aware (recomputed from the topology's
-      // link-estimator view), so a relay next to a corpse re-routes instead
-      // of feeding it.
-      return tree_cache_ != nullptr && tree_cache_->tree().forwards(id());
-  }
-  return false;
+  // Interior tree nodes relay; leaves and out-of-tree nodes stay quiet. The
+  // tree itself is liveness-aware (recomputed from the topology's
+  // link-estimator view), so a relay next to a corpse re-routes instead of
+  // feeding it.
+  return tree_cache_ != nullptr && tree_cache_->tree().forwards(id());
 }
 
 util::Status Router::forward(Datagram d) {
@@ -171,7 +162,7 @@ void Router::on_packet(const Packet& packet) {
   // copy that lost the dedup race may be the one that crossed the head.
   if (d.beacon.valid() && beacon_observer_) beacon_observer_(d.beacon);
   if (d.destination == kBroadcast) {
-    if (d.source == id()) return;  // flooded copy of our own broadcast
+    if (d.source == id()) return;  // relayed copy of our own broadcast
     if (!remember(d.source, d.seq)) return;  // duplicate over another path
     if (receive_handler_) receive_handler_(d);
     if (d.ttl > 0 && should_relay_broadcast()) {

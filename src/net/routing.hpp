@@ -3,14 +3,15 @@
 // assessment) ride on this so multi-hop virtual components work; the paper's
 // six-node HIL setup is single-hop through the gateway but E5 sweeps 1-5
 // hops. Broadcasts are one-hop by default; multi-hop worlds built from a
-// TopologySpec enable either TTL-bounded deduplicated flooding or — the
-// scaled mode — tree-scoped dissemination, where only the interior nodes of
-// the gateway-rooted spanning tree (pruned to the replica set) re-broadcast,
-// so multicast cost follows the tree size instead of the node count.
+// TopologySpec enable tree-scoped dissemination, where only the interior
+// nodes of the gateway-rooted spanning tree (pruned to the replica set)
+// re-broadcast (TTL-bounded, deduplicated), so multicast cost follows the
+// tree size instead of the node count.
 //
 // Datagrams additionally carry a piggy-backed head-beacon tag (head id +
 // beacon sequence) that gossips VC-head liveness over whatever data-plane
-// traffic is flowing, reclaiming the explicit once-per-second beacon flood.
+// traffic is flowing, reclaiming the explicit once-per-second beacon
+// broadcast.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +48,7 @@ struct Datagram {
   std::uint8_t type = 0;  // upper-layer (EVM) message class
   std::uint8_t ttl = 8;
   /// Originator-assigned sequence number; (source, seq) deduplicates
-  /// flooded broadcasts arriving over multiple paths.
+  /// relayed broadcasts arriving over multiple paths.
   std::uint16_t seq = 0;
   /// This frame exists only to carry the beacon tag (an explicit head
   /// beacon). Relays forward it per-link lazily: a relay whose own tagged
@@ -61,13 +62,6 @@ struct Datagram {
 
 class Router {
  public:
-  /// How broadcasts cross multi-hop worlds.
-  enum class BroadcastMode : std::uint8_t {
-    kSingleHop,  // Fig. 5 full mesh: one transmission reaches everyone
-    kFlood,      // every node re-broadcasts once (TTL-bounded, deduplicated)
-    kTree,       // only dissemination-tree interior nodes re-broadcast
-  };
-
   Router(Mac& mac, Topology& topology);
 
   NodeId id() const { return mac_.id(); }
@@ -85,25 +79,21 @@ class Router {
     receive_handler_ = std::move(handler);
   }
 
-  /// Re-broadcast incoming broadcasts (once per (source, seq), while TTL
-  /// lasts) so they cross relays. Off by default: the Fig. 5 full mesh is
-  /// single-hop and flooding there would only burn slots and energy.
-  void enable_flooding() { mode_ = BroadcastMode::kFlood; }
-  bool flooding() const { return mode_ == BroadcastMode::kFlood; }
-  /// Scoped dissemination: re-broadcast only when this node is an interior
-  /// node of the shared tree (`cache` must outlive the router).
+  /// Scoped dissemination: re-broadcast incoming broadcasts (once per
+  /// (source, seq), while TTL lasts) only when this node is an interior
+  /// node of the shared tree (`cache` must outlive the router). Off by
+  /// default: the Fig. 5 full mesh is single-hop and relaying there would
+  /// only burn slots and energy.
   void enable_tree_dissemination(const DisseminationTreeCache* cache) {
-    mode_ = BroadcastMode::kTree;
     tree_cache_ = cache;
   }
-  BroadcastMode broadcast_mode() const { return mode_; }
   /// True when this node takes part in the broadcast dissemination
-  /// structure (always, except for nodes outside the tree in kTree mode).
+  /// structure (always, except for nodes outside an enabled tree).
   /// Out-of-tree pure relays neither receive the beacon plane reliably nor
   /// hold replicas, so head-liveness supervision skips them.
   bool participates_in_dissemination() const;
   /// TTL stamped on originated datagrams (raise to at least the network
-  /// diameter for flooded worlds).
+  /// diameter for multi-hop worlds).
   void set_default_ttl(std::uint8_t ttl) { default_ttl_ = ttl; }
 
   /// Install the freshest head-beacon tag; stamped onto every datagram this
@@ -119,7 +109,7 @@ class Router {
   std::size_t forwarded_count() const { return forwarded_; }
   /// Broadcast datagrams this node originated.
   std::size_t broadcasts_originated() const { return broadcasts_originated_; }
-  /// Broadcast re-transmissions this node performed as a flood/tree relay.
+  /// Broadcast re-transmissions this node performed as a tree relay.
   /// Summed across nodes (plus originations) this is the per-run slot cost
   /// of the broadcast plane.
   std::size_t broadcast_relays() const { return broadcast_relays_; }
@@ -164,7 +154,7 @@ class Router {
   /// Snapshot of tagged_broadcast_sends_ after the last beacon probe this
   /// node relayed (or suppressed); unchanged counter = silent link.
   std::size_t tagged_sends_at_last_probe_ = 0;
-  BroadcastMode mode_ = BroadcastMode::kSingleHop;
+  /// Null until enable_tree_dissemination: no relaying.
   const DisseminationTreeCache* tree_cache_ = nullptr;
   BeaconTag beacon_tag_;
   std::uint8_t default_ttl_ = 8;

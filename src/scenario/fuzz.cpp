@@ -113,18 +113,12 @@ ScenarioSpec generate_spec(std::uint64_t run_seed, const GeneratorConfig& config
             static_cast<std::size_t>(rng.uniform_int(6, 9)));
         break;
     }
-    // Both dissemination schemes stay under fuzz: the scoped tree is the
-    // default, and one world in four keeps the PR 4 flood so regressions in
-    // either path (or divergence between them) surface nightly.
-    spec.testbed.dissemination = rng.bernoulli(0.25)
-                                     ? testbed::DisseminationMode::kFlood
-                                     : testbed::DisseminationMode::kTree;
-    // The control cycle must leave headroom over the TDMA frame: flooded
-    // broadcasts cost each node one slot per unique datagram, so give the
-    // frame ~8x slack and stretch the head's promotion supervision to
+    // The control cycle must leave headroom over the TDMA frame: relayed
+    // broadcasts cost each tree relay one slot per unique datagram, so give
+    // the frame ~8x slack and stretch the head's promotion supervision to
     // cover multi-hop heartbeat latency.
-    const testbed::SchedulePlan plan = testbed::plan_schedule(
-        spec.testbed.topology, spec.testbed.dissemination);
+    const testbed::SchedulePlan plan =
+        testbed::plan_schedule(spec.testbed.topology);
     const double frame_ms = plan.frame_length().to_seconds() * 1e3;
     const double period_ms = std::max(250.0, std::ceil(frame_ms * 8.0 / 50.0) * 50.0);
     spec.testbed.control_period = util::Duration::from_seconds(period_ms / 1e3);
@@ -389,13 +383,6 @@ ScenarioSpec shrink_spec(const ScenarioSpec& spec, std::uint64_t seed,
     if (best.testbed.link_loss > 0.0) {
       ScenarioSpec candidate = best;
       candidate.testbed.link_loss = 0.0;
-      try_candidate(std::move(candidate));
-    }
-    if (best.testbed.dissemination == testbed::DisseminationMode::kTree) {
-      // If the violation also fires under plain flooding, the repro is not
-      // about the dissemination tree at all — record the simpler world.
-      ScenarioSpec candidate = best;
-      candidate.testbed.dissemination = testbed::DisseminationMode::kFlood;
       try_candidate(std::move(candidate));
     }
     double last_event_s = 0.0;

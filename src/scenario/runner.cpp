@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
+#include <stdexcept>
 
 #include "core/modes.hpp"
 #include "scenario/invariants.hpp"
@@ -75,16 +76,10 @@ RunMetrics ScenarioRunner::run() {
   metrics.seed = seed_;
   try {
     obs::Stopwatch phase;
-    if (util::Status valid = spec_.validate(); !valid) {
-      metrics.ok = false;
-      metrics.error = valid.message();
-      if (monitor_ != nullptr) monitor_->on_finish(metrics);
-      metrics_.counter("scenario.invariant_checks")
-          .add(monitor_ != nullptr ? monitor_->checks_performed() : 0);
-      phases_.add("setup", phase.elapsed_ms());
-      metrics.wall_setup_ms = phases_.ms("setup");
-      metrics.wall_ms = total.elapsed_ms();
-      return metrics;
+    // World and slot-plan errors surface from TestbedBuilder below, which
+    // analyses and plans the world anyway; only the event timing is left.
+    if (util::Status valid = spec_.validate_events(); !valid) {
+      throw std::runtime_error(valid.message());
     }
     testbed::GasPlantTestbedConfig config = spec_.testbed;
     config.seed = seed_;
@@ -307,9 +302,7 @@ RunMetrics ScenarioRunner::collect() {
     }
   }
 
-  m.dissemination = tb.multi_hop()
-                        ? testbed::to_string(tb.dissemination_mode())
-                        : "single_hop";
+  m.dissemination = tb.multi_hop() ? "tree" : "single_hop";
   for (net::NodeId id : topo_.node_ids()) {
     const net::Router& router = tb.node(id).router();
     m.bcast_datagrams += router.broadcasts_originated();

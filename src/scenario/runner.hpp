@@ -42,14 +42,14 @@ struct RunMetrics {
   double packet_loss_rate = 0.0;  // (lost + collided) / offered
 
   // Dissemination cost of the broadcast plane (sensor stream, heartbeats,
-  // actuation, head beacons). "tree" scopes relaying to the dissemination
-  // tree's interior; "flood" is the PR 4 every-node re-broadcast;
-  // "single_hop" is the Fig. 5 mesh (no relaying at all).
+  // actuation, head beacons). Derived from the world: "tree" on multi-hop
+  // worlds, where relaying is scoped to the dissemination tree's interior;
+  // "single_hop" on the Fig. 5 mesh (no relaying at all).
   std::string dissemination;
   std::size_t bcast_datagrams = 0;      // unique broadcasts originated
   std::size_t bcast_transmissions = 0;  // originations + relay re-sends
-  /// RT-Link slots consumed per unique broadcast datagram (the tentpole
-  /// metric: ~N under flooding, ~tree interior size under scoping).
+  /// RT-Link slots consumed per unique broadcast datagram (about the tree's
+  /// interior size on multi-hop worlds, 1 on the Fig. 5 mesh).
   double slots_per_broadcast = 0.0;
   /// Beacon slots reclaimed by piggy-backing: explicit head beacons the
   /// head withheld (its own frames carried the tag) plus beacon-probe

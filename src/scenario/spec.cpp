@@ -142,17 +142,15 @@ util::Status ScenarioSpec::validate() const {
   if (util::Status s = topo.validate(analysis); !s) {
     return Status::invalid_argument("topology: " + s.message());
   }
-  // Schedule feasibility: one TDMA frame (the worst-case link access) must
-  // fit inside the control period, or the loop can never close on time.
-  const testbed::SchedulePlan plan =
-      testbed::plan_schedule(topo, analysis, testbed.dissemination);
-  if (plan.frame_length() > testbed.control_period) {
-    return Status::invalid_argument(
-        "infeasible schedule: the " + std::to_string(plan.slots.size()) +
-        "-slot RT-Link frame (" + std::to_string(plan.frame_length().ms()) +
-        " ms) exceeds the " + std::to_string(testbed.control_period.ms()) +
-        " ms control period");
+  if (util::Status s =
+          testbed::plan_schedule(topo, analysis).fits(testbed.control_period);
+      !s) {
+    return s;
   }
+  return validate_events();
+}
+
+util::Status ScenarioSpec::validate_events() const {
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FaultEvent& e = events[i];
     if (e.at_s > horizon_s) {
@@ -238,16 +236,6 @@ Result<ScenarioSpec> ScenarioSpec::from_json(const Json& json) {
     cfg.head_beacon_period = util::Duration::from_seconds(head_beacon_s);
     if (!cfg.head_beacon_period.is_positive()) {
       return Status::invalid_argument("'head_beacon_s' must be positive");
-    }
-    if (const Json* mode = tb->find("dissemination")) {
-      const std::string value = mode->is_string() ? mode->as_string() : "";
-      if (value == "auto") cfg.dissemination = testbed::DisseminationMode::kAuto;
-      else if (value == "flood") cfg.dissemination = testbed::DisseminationMode::kFlood;
-      else if (value == "tree") cfg.dissemination = testbed::DisseminationMode::kTree;
-      else {
-        return Status::invalid_argument(
-            "'dissemination' must be \"auto\", \"flood\" or \"tree\"");
-      }
     }
   }
 
@@ -506,7 +494,6 @@ Json ScenarioSpec::to_json() const {
   tb.set("level_setpoint", testbed.level_setpoint);
   tb.set("third_controller", testbed.third_controller);
   tb.set("link_loss", testbed.link_loss);
-  tb.set("dissemination", testbed::to_string(testbed.dissemination));
   root.set("testbed", std::move(tb));
 
   // Campaign provenance: the explicit node/link list round-trips, so a

@@ -88,12 +88,16 @@ struct ScenarioSpec {
   /// runner's node sets, the invariant monitor's VC membership) reads this.
   testbed::TopologySpec topology() const;
 
-  /// Cross-field checks that must hold for the spec to be runnable; today
-  /// that is "every fault event fires within the horizon". from_json calls
-  /// this, and ScenarioRunner re-checks it so specs assembled or re-timed
-  /// programmatically (e.g. a CLI horizon override) cannot silently drop
-  /// scheduled events.
+  /// Cross-field checks that must hold for the spec to be runnable: a valid
+  /// world, a slot plan whose frame fits the control period, and
+  /// validate_events(). from_json calls this. It analyses and plans the
+  /// world, so a run does not repeat it: TestbedBuilder checks the world and
+  /// the plan it builds anyway.
   util::Status validate() const;
+  /// Every fault event fires within the horizon. ScenarioRunner re-checks
+  /// this so specs assembled or re-timed programmatically (e.g. a CLI
+  /// horizon override) cannot silently drop scheduled events.
+  util::Status validate_events() const;
 
   static util::Result<ScenarioSpec> from_json(const util::Json& json);
   static util::Result<ScenarioSpec> load_file(const std::string& path);

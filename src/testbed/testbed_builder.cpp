@@ -33,8 +33,10 @@ TestbedBuilder::TestbedBuilder(GasPlantTestbedConfig config)
   // plus a second slot for the chatty nodes. On the Fig. 5 mesh this is the
   // paper's 10-slot x 5 ms frame, keeping worst-case link access at
   // 50 ms << the 250 ms control cycle.
-  const SchedulePlan plan =
-      plan_schedule(topo_, analysis, config_.dissemination);
+  const SchedulePlan plan = plan_schedule(topo_, analysis);
+  if (util::Status fits = plan.fits(config_.control_period); !fits) {
+    throw std::runtime_error(fits.message());
+  }
   schedule_ = std::make_unique<net::RtLinkSchedule>(
       static_cast<int>(plan.slots.size()), plan.slot_length);
   for (std::size_t slot = 0; slot < plan.slots.size(); ++slot) {
@@ -138,19 +140,12 @@ void TestbedBuilder::build_nodes() {
   policy.head_beacon_period = config_.head_beacon_period;
 
   // Broadcast data/heartbeat planes only reach one hop; worlds with relays
-  // need the routers to carry them across. The default (kAuto) is scoped
-  // dissemination over the gateway-rooted spanning tree pruned to the
-  // role nodes — multicast cost follows the tree size; kFlood keeps the
-  // PR 4 every-node re-broadcast as the comparison baseline.
+  // need the routers to carry them across. Multi-hop worlds get scoped
+  // dissemination over the gateway-rooted spanning tree pruned to the role
+  // nodes, so multicast cost follows the tree size; single-hop worlds never
+  // relay, and the tree cache is only built where relaying happens.
   const std::uint8_t ttl = static_cast<std::uint8_t>(std::max(8, diameter_ + 1));
-  dissemination_ = config_.dissemination;
-  if (dissemination_ == DisseminationMode::kAuto) {
-    dissemination_ = multi_hop() ? DisseminationMode::kTree
-                               : DisseminationMode::kFlood;
-  }
-  // Single-hop worlds never relay broadcasts regardless of the mode; the
-  // tree cache is only built (and consulted) where relaying happens.
-  if (multi_hop() && dissemination_ == DisseminationMode::kTree) {
+  if (multi_hop()) {
     tree_cache_ = std::make_unique<net::DisseminationTreeCache>(
         topology_, topo_.gateway(), topo_.dissemination_targets());
   }
@@ -166,11 +161,7 @@ void TestbedBuilder::build_nodes() {
     nodes_[entry.id] = std::make_unique<core::Node>(sim_, *medium_, *schedule_,
                                                     *timesync_, config);
     if (multi_hop()) {
-      if (tree_cache_ != nullptr) {
-        nodes_[entry.id]->router().enable_tree_dissemination(tree_cache_.get());
-      } else {
-        nodes_[entry.id]->router().enable_flooding();
-      }
+      nodes_[entry.id]->router().enable_tree_dissemination(tree_cache_.get());
       // Control unicasts must not queue behind relay traffic (see
       // Mac::set_unicast_priority for why single-hop worlds keep one FIFO).
       nodes_[entry.id]->mac().set_unicast_priority(true);

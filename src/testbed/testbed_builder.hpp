@@ -42,8 +42,6 @@ struct GasPlantTestbedConfig {
   util::Duration head_beacon_period = util::Duration::seconds(1);
   /// Level setpoint (percent).
   double level_setpoint = 50.0;
-  /// Broadcast dissemination scheme (see DisseminationMode).
-  DisseminationMode dissemination = DisseminationMode::kAuto;
   /// Fig. 5 only: include the third controller replica (Ctrl-C) in the VC.
   bool third_controller = false;
   /// Fig. 5 only: per-link packet loss probability.
@@ -66,8 +64,9 @@ inline constexpr std::uint8_t kValveChannel = 0;
 class TestbedBuilder {
  public:
   /// Compile `config` (whose `topology`, empty = Fig. 5, names the world)
-  /// into the sim. Throws std::runtime_error on an invalid topology
-  /// (ScenarioRunner turns that into a run error). After construction the
+  /// into the sim. Throws std::runtime_error on an invalid topology or a
+  /// slot plan whose frame exceeds the control period (ScenarioRunner
+  /// turns either into a run error). After construction the
   /// resolved world lives in topology_spec() only — config().topology is
   /// moved out, so there is exactly one source of truth.
   explicit TestbedBuilder(GasPlantTestbedConfig config);
@@ -103,14 +102,6 @@ class TestbedBuilder {
   core::EvmService& service(net::NodeId id) { return *services_.at(id); }
   core::EvmService& head() { return service(topo_.gateway()); }
   const core::VcDescriptor& descriptor() const { return descriptor_; }
-  /// The resolved dissemination mode (kAuto collapsed to what was built);
-  /// never kAuto after construction.
-  DisseminationMode dissemination_mode() const { return dissemination_; }
-  /// The shared liveness-aware dissemination tree, or nullptr outside
-  /// tree mode (single-hop / flood worlds).
-  const net::DisseminationTreeCache* dissemination_cache() const {
-    return tree_cache_.get();
-  }
 
   /// The steady-state valve opening computed at initialization (the paper's
   /// 11.48 % figure for their operating point).
@@ -143,8 +134,8 @@ class TestbedBuilder {
   plant::GasPlant plant_;
   std::unique_ptr<plant::HilHarness> hil_;
   core::VcDescriptor descriptor_;
+  /// The shared liveness-aware dissemination tree; multi-hop worlds only.
   std::unique_ptr<net::DisseminationTreeCache> tree_cache_;
-  DisseminationMode dissemination_ = DisseminationMode::kAuto;
   std::map<net::NodeId, std::unique_ptr<core::Node>> nodes_;
   std::map<net::NodeId, std::unique_ptr<core::EvmService>> services_;
   double steady_opening_ = 0.0;

@@ -73,15 +73,6 @@ class SpecBuilder {
 
 }  // namespace
 
-const char* to_string(DisseminationMode mode) {
-  switch (mode) {
-    case DisseminationMode::kAuto: return "auto";
-    case DisseminationMode::kFlood: return "flood";
-    case DisseminationMode::kTree: return "tree";
-  }
-  return "unknown";
-}
-
 const char* to_string(NodeRole role) {
   for (const auto& [r, name] : kRoleNames) {
     if (r == role) return name;
@@ -407,16 +398,24 @@ util::Status TopologySpec::validate(const TopologyAnalysis& analysis) const {
   return check_connected(analysis);
 }
 
-SchedulePlan plan_schedule(const TopologySpec& topo, DisseminationMode mode) {
-  return plan_schedule(topo, topo.analyze(), mode);
+util::Status SchedulePlan::fits(util::Duration control_period) const {
+  if (frame_length() <= control_period) return Status::ok();
+  return Status::invalid_argument(
+      "infeasible schedule: the " + std::to_string(slots.size()) +
+      "-slot RT-Link frame (" + std::to_string(frame_length().ms()) +
+      " ms) exceeds the " + std::to_string(control_period.ms()) +
+      " ms control period");
+}
+
+SchedulePlan plan_schedule(const TopologySpec& topo) {
+  return plan_schedule(topo, topo.analyze());
 }
 
 SchedulePlan plan_schedule(const TopologySpec& topo,
-                           const TopologyAnalysis& analysis,
-                           DisseminationMode mode) {
+                           const TopologyAnalysis& analysis) {
   SchedulePlan plan;
   // Base slots in hop order from the gateway, ties by spec order: a packet
-  // flooding away from the gateway end of the network can cross several
+  // travelling away from the gateway end of the network can cross several
   // hops inside a single frame instead of paying one frame per hop.
   auto hops = [&](net::NodeId id) {
     const int h = analysis.hops_from_gateway(id);
@@ -427,14 +426,12 @@ SchedulePlan plan_schedule(const TopologySpec& topo,
                    [&](net::NodeId a, net::NodeId b) { return hops(a) < hops(b); });
   plan.slots = order;
 
-  // Mirror pass (tree-scoped multi-hop worlds only): the dissemination
-  // tree's interior nodes in descending hop order. A frame then carries
-  // inward-bound chains too — a fault report at hop 4 is relayed by hop 3,
-  // then hop 2, then hop 1 later in the same frame, instead of one frame
-  // per hop. Single-hop worlds skip this (keeping the paper's 10-slot
-  // Fig. 5 frame intact), and so do flood-forced worlds (restoring the
-  // exact PR 4 frame, so the flood knob really is the PR 4 baseline).
-  if (analysis.multi_hop() && mode != DisseminationMode::kFlood) {
+  // Mirror pass (multi-hop worlds only): the dissemination tree's interior
+  // nodes in descending hop order. A frame then carries inward-bound chains
+  // too — a fault report at hop 4 is relayed by hop 3, then hop 2, then
+  // hop 1 later in the same frame, instead of one frame per hop. Single-hop
+  // worlds skip this, keeping the paper's 10-slot Fig. 5 frame intact.
+  if (analysis.multi_hop()) {
     const net::DisseminationTree tree = net::DisseminationTree::compute(
         topo.to_topology(), topo.gateway(), topo.dissemination_targets());
     std::vector<net::NodeId> interior;

@@ -20,16 +20,6 @@
 
 namespace evm::testbed {
 
-/// How broadcast-plane traffic (sensor stream, heartbeats, head beacons)
-/// crosses multi-hop worlds. kAuto picks tree-scoped dissemination on
-/// multi-hop topologies and plain single-hop broadcast on the Fig. 5 mesh;
-/// kFlood forces the PR 4 deduplicated flood (the comparison baseline for
-/// density sweeps); kTree forces the scoped tree. The slot plan follows the
-/// mode: the tree's mirror pass only exists where the tree does.
-enum class DisseminationMode : std::uint8_t { kAuto = 0, kFlood, kTree };
-
-const char* to_string(DisseminationMode mode);
-
 /// What a node contributes to the control loop. Relays only forward traffic
 /// (they sit between sensor and controllers in multi-hop worlds).
 enum class NodeRole : std::uint8_t {
@@ -74,6 +64,9 @@ struct SchedulePlan {
   util::Duration slot_length = util::Duration::millis(5);
 
   util::Duration frame_length() const { return slot_length * static_cast<int>(slots.size()); }
+  /// Schedule feasibility: one frame (the worst-case link access) must fit
+  /// inside the control period, or the loop can never close on time.
+  util::Status fits(util::Duration control_period) const;
 };
 
 /// Everything the testbed derives from a world's link graph, computed in
@@ -137,14 +130,9 @@ struct TopologySpec {
   /// The world's one topology analysis (see TopologyAnalysis). Defined on
   /// any spec; only meaningful for a structurally valid one.
   TopologyAnalysis analyze() const;
-  /// Convenience wrappers, each running a full analyze(): callers asking
-  /// more than one question should analyse once and keep the result.
+  /// Convenience wrapper running a full analyze(): callers asking more than
+  /// one question should analyse once and keep the result.
   int diameter() const { return analyze().diameter; }
-  bool multi_hop() const { return analyze().multi_hop(); }
-  /// True when removing `id` disconnects the remaining nodes. Permanently
-  /// crashing a cut vertex partitions the VC — outside the fault model, so
-  /// the fuzz generator always schedules a restart for these.
-  bool is_cut_vertex(net::NodeId id) const { return analyze().is_cut_vertex(id); }
 
   /// Structural checks: unique ids/names, exactly one gateway, at least one
   /// sensor / actuator / vc-member controller, well-formed connected links.
@@ -163,17 +151,13 @@ struct TopologySpec {
   util::Json to_json() const;
 };
 
-/// Build the RT-Link slot plan for `topo` under `mode`. The mirror pass of
-/// second slots for the dissemination tree's interior only exists when the
-/// tree does (multi-hop worlds not forced back to flooding), so a
-/// flood-forced world keeps the exact PR 4 frame and its schedule
-/// feasibility.
+/// Build the RT-Link slot plan for `topo` (see SchedulePlan). The mirror
+/// pass of second slots for the dissemination tree's interior only exists
+/// where the tree does: on multi-hop worlds.
 SchedulePlan plan_schedule(const TopologySpec& topo,
-                           const TopologyAnalysis& analysis,
-                           DisseminationMode mode = DisseminationMode::kAuto);
+                           const TopologyAnalysis& analysis);
 /// Same plan, analysing `topo` first.
-SchedulePlan plan_schedule(const TopologySpec& topo,
-                           DisseminationMode mode = DisseminationMode::kAuto);
+SchedulePlan plan_schedule(const TopologySpec& topo);
 
 /// The paper's Fig. 5 six-node testbed: gateway, sensor, three controllers
 /// (Ctrl-C built but outside the VC unless `third_controller`), actuator,

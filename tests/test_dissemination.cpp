@@ -11,7 +11,6 @@
 #include "net/medium.hpp"
 #include "net/routing.hpp"
 #include "net/rtlink.hpp"
-#include "net/tree_routing.hpp"
 #include "scenario/spec.hpp"
 #include "testbed/topology_spec.hpp"
 
@@ -184,7 +183,7 @@ TEST(DisseminationTree, ShortestPathToTheRootIsTheTreeParentInShippedWorlds) {
     auto scenario = scenario::ScenarioSpec::load_file(file.string());
     ASSERT_TRUE(scenario.ok()) << scenario.status().to_string();
     const TopologySpec spec = scenario->topology();
-    if (!spec.multi_hop()) continue;
+    if (!spec.analyze().multi_hop()) continue;
     ++worlds;
     const Topology topo = spec.to_topology();
     const auto tree =
@@ -323,88 +322,6 @@ TEST_F(TreeRoutingFixture, CrashReRoutesTheTreeMidRun) {
   ASSERT_TRUE(stacks[1].router->send(kBroadcast, 7, {3}));
   run_for(util::Duration::seconds(2));
   EXPECT_EQ(got[4], 1) << "broadcast must cross the surviving relay";
-}
-
-// --- Implicit tree routing consults liveness --------------------------------
-
-struct ImplicitTreeFixture : ::testing::Test {
-  sim::Simulator sim{9};
-  Topology topo = Topology::line({1, 2, 3});
-  Medium medium{sim, topo};
-  RtLinkSchedule schedule{6, util::Duration::millis(5)};
-  TimeSync sync{sim, {}};
-
-  struct Stack {
-    NodeClock clock;
-    std::unique_ptr<Radio> radio;
-    std::unique_ptr<RtLink> mac;
-    std::unique_ptr<TreeRouter> tree;
-  };
-  std::map<NodeId, Stack> stacks;
-
-  TreeRouter& make_node(NodeId id, bool sink) {
-    auto& s = stacks[id];
-    s.radio = std::make_unique<Radio>(sim, medium, id);
-    s.mac = std::make_unique<RtLink>(sim, *s.radio, s.clock, schedule);
-    s.tree = std::make_unique<TreeRouter>(sim, *s.mac, sink,
-                                          util::Duration::millis(500));
-    s.tree->attach_topology(&topo);
-    sync.attach(id, s.clock);
-    schedule.assign_tx(static_cast<int>(id) - 1, id);
-    return *s.tree;
-  }
-
-  void start_all() {
-    sync.start();
-    for (auto& [id, s] : stacks) {
-      (void)id;
-      s.mac->start();
-      s.tree->start();
-    }
-  }
-  void run_for(util::Duration d) { sim.run_until(sim.now() + d); }
-};
-
-TEST_F(ImplicitTreeFixture, DeadParentIsAbandonedNotBlackHoled) {
-  TreeRouter& sink = make_node(1, true);
-  make_node(2, false);
-  TreeRouter& leaf = make_node(3, false);
-  int delivered = 0;
-  sink.set_receive_handler(
-      [&](NodeId, std::uint8_t, const std::vector<std::uint8_t>&) {
-        ++delivered;
-      });
-  start_all();
-  run_for(util::Duration::seconds(3));
-  ASSERT_TRUE(leaf.joined());
-  ASSERT_EQ(leaf.parent(), 2);
-
-  // Parent crashes; a scripted link_up fires while it is down. Without the
-  // liveness check the leaf would keep feeding the corpse.
-  topo.set_node_down(2, true);
-  topo.set_link_up(2, 3, false);
-  topo.set_link_up(2, 3, true);
-  const util::Status status = leaf.send_up(1, {42});
-  EXPECT_FALSE(status);
-  EXPECT_EQ(status.code(), util::StatusCode::kUnavailable);
-  EXPECT_FALSE(leaf.joined());  // cached parent dropped, will re-join
-  EXPECT_EQ(delivered, 0);
-}
-
-TEST_F(ImplicitTreeFixture, SinkRefusesDownRouteThroughDeadHop) {
-  TreeRouter& sink = make_node(1, true);
-  make_node(2, false);
-  TreeRouter& leaf = make_node(3, false);
-  start_all();
-  run_for(util::Duration::seconds(3));
-  ASSERT_TRUE(leaf.joined());
-  ASSERT_TRUE(leaf.send_up(1, {1}));
-  run_for(util::Duration::seconds(2));
-
-  topo.set_node_down(2, true);
-  const util::Status status = sink.send_down(3, 1, {9});
-  EXPECT_FALSE(status);
-  EXPECT_EQ(status.code(), util::StatusCode::kUnavailable);
 }
 
 }  // namespace

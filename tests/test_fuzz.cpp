@@ -127,11 +127,10 @@ TEST(FuzzGenerator, GeneratesRandomizedMultiHopTopologies) {
     const ScenarioSpec spec = generate_spec(seed, config);
     const testbed::TopologySpec topo = spec.topology();
     ASSERT_TRUE(topo.validate()) << "seed " << seed;
-    if (topo.multi_hop()) {
+    if (topo.analyze().multi_hop()) {
       ++multi_hop;
       // Frame must fit the scaled control period (schedule feasibility).
-      EXPECT_LE(testbed::plan_schedule(topo, spec.testbed.dissemination)
-                    .frame_length(),
+      EXPECT_LE(testbed::plan_schedule(topo).frame_length(),
                 spec.testbed.control_period)
           << "seed " << seed;
     }

@@ -15,6 +15,7 @@ struct RoutingFixture : ::testing::Test {
   Medium medium{sim, topo};
   RtLinkSchedule schedule{10, util::Duration::millis(5)};
   TimeSync sync{sim, {}};
+  std::unique_ptr<DisseminationTreeCache> cache;
 
   struct Stack {
     NodeClock clock;
@@ -130,13 +131,17 @@ TEST_F(RoutingFixture, ReroutesAroundFailedLink) {
   EXPECT_EQ(got, 1);
 }
 
-TEST_F(RoutingFixture, FloodedBroadcastCrossesRelaysExactlyOnce) {
-  // Line 1-2-3-4-5 with flooding on: a broadcast from one end reaches the
-  // far end (4 hops), and every node delivers it exactly once.
+TEST_F(RoutingFixture, TreeBroadcastCrossesRelaysExactlyOnce) {
+  // Line 1-2-3-4-5 with tree dissemination rooted at 1: the tree is the
+  // whole chain, so 2, 3 and 4 relay. A broadcast from one end reaches the
+  // far end (4 hops), and every node delivers it exactly once, although
+  // each interior relay also hears its downstream neighbour's re-broadcast.
+  cache = std::make_unique<DisseminationTreeCache>(topo, 1,
+                                                   std::vector<NodeId>{1, 5});
   std::map<NodeId, int> got;
   for (NodeId id : {1, 2, 3, 4, 5}) {
     Router& r = make_node(id);
-    r.enable_flooding();
+    r.enable_tree_dissemination(cache.get());
     r.set_default_ttl(6);
     r.set_receive_handler([&got, id](const Datagram& d) {
       EXPECT_EQ(d.source, 1);
@@ -148,25 +153,38 @@ TEST_F(RoutingFixture, FloodedBroadcastCrossesRelaysExactlyOnce) {
   run_for(util::Duration::seconds(2));
   for (NodeId id : {2, 3, 4, 5}) EXPECT_EQ(got[id], 1) << "node " << id;
   EXPECT_EQ(got[1], 0);  // own broadcast must not echo back up
+  for (NodeId id : {2, 3, 4}) {
+    EXPECT_EQ(stacks[id].router->broadcast_relays(), 1u) << "node " << id;
+  }
+  EXPECT_EQ(stacks[5].router->broadcast_relays(), 0u);  // leaf stays quiet
 }
 
-TEST_F(RoutingFixture, FloodDeduplicatesAcrossDiamondPaths) {
-  // Diamond 1-2, 1-3, 2-4, 3-4: node 4 hears the flood over two disjoint
-  // paths but must deliver it once.
+TEST_F(RoutingFixture, TreeDeduplicatesCopiesFromTwoRelays) {
+  // Diamond 1-2, 1-3, 2-4, 3-4 plus a spur 3-5, tree rooted at 1 with
+  // targets {4, 5}: BFS makes 2 the parent of 4 and 3 the parent of 5, so
+  // 2 and 3 both relay. Node 4 hears the datagram from its parent 2 and,
+  // over its non-tree link, from relay 3, but must deliver it once.
   topo = Topology();
   topo.set_link(1, 2, {true, 0.0});
   topo.set_link(1, 3, {true, 0.0});
   topo.set_link(2, 4, {true, 0.0});
   topo.set_link(3, 4, {true, 0.0});
+  topo.set_link(3, 5, {true, 0.0});
+  cache = std::make_unique<DisseminationTreeCache>(
+      topo, 1, std::vector<NodeId>{1, 4, 5});
+  ASSERT_EQ(cache->tree().parent(4), 2);
+  ASSERT_TRUE(cache->tree().forwards(3));
   int got = 0;
-  for (NodeId id : {1, 2, 3, 4}) {
+  for (NodeId id : {1, 2, 3, 4, 5}) {
     Router& r = make_node(id);
-    r.enable_flooding();
+    r.enable_tree_dissemination(cache.get());
     if (id == 4) r.set_receive_handler([&](const Datagram&) { ++got; });
   }
   start_all();
   ASSERT_TRUE(stacks[1].router->send(kBroadcast, 1, {}));
   run_for(util::Duration::seconds(2));
+  EXPECT_EQ(stacks[2].router->broadcast_relays(), 1u);
+  EXPECT_EQ(stacks[3].router->broadcast_relays(), 1u);
   EXPECT_EQ(got, 1);
 }
 

@@ -200,6 +200,56 @@ TEST(ScenarioRunner, RejectsReTimedSpecWithEventsPastHorizon) {
   EXPECT_NE(m.error.find("horizon"), std::string::npos) << m.error;
 }
 
+TEST(ScenarioRunner, ProgrammaticInfeasibleScheduleFailsItsRun) {
+  // The runner leaves world and slot-plan checks to TestbedBuilder; a spec
+  // assembled in code, never through from_json, must still fail its run
+  // with the diagnostic ScenarioSpec::validate gives. (Events past the
+  // horizon: RejectsReTimedSpecWithEventsPastHorizon.)
+  ScenarioSpec spec;
+  spec.name = "infeasible";
+  spec.horizon_s = 30.0;
+  spec.testbed.topology = testbed::grid_topology(5, 4);
+  spec.testbed.control_period = util::Duration::millis(100);
+  const RunMetrics m = ScenarioRunner(spec, 1).run();
+  EXPECT_FALSE(m.ok);
+  EXPECT_NE(m.error.find("infeasible schedule"), std::string::npos) << m.error;
+  EXPECT_EQ(m.error, spec.validate().message());
+}
+
+TEST(ScenarioSpec, RemovedTestbedKeysAreIgnoredAndNotEchoed) {
+  // Older specs (and generated workloads) still carry testbed keys whose
+  // knobs are gone. They must parse, vanish from the echo, and run the
+  // same experiment as the spec without them.
+  const char* kBody = R"(
+    "horizon_s": 20,
+    "topology": {"generator": "line", "nodes": 6},
+    "events": [{"at_s": 8, "do": "primary_fault", "value": 75.0}]
+  })";
+  auto with_keys = parse(std::string(R"({"name": "removed-keys",
+    "testbed": {"evidence_threshold": 6, "dormant_delay_s": 5,
+                "dissemination": "flood", "head_bound_tree_unicast": true,
+                "mac_unicast_priority": true},)") + kBody);
+  auto without = parse(std::string(R"({"name": "removed-keys",
+    "testbed": {"evidence_threshold": 6, "dormant_delay_s": 5},)") + kBody);
+  ASSERT_TRUE(with_keys.ok()) << with_keys.status().to_string();
+  ASSERT_TRUE(without.ok()) << without.status().to_string();
+
+  const util::Json echo = with_keys->to_json();
+  const util::Json* tb = echo.find("testbed");
+  ASSERT_NE(tb, nullptr);
+  for (const char* key :
+       {"dissemination", "head_bound_tree_unicast", "mac_unicast_priority"}) {
+    EXPECT_EQ(tb->find(key), nullptr) << key;
+  }
+  EXPECT_EQ(echo.dump(), without->to_json().dump());
+
+  const RunMetrics m = ScenarioRunner(*with_keys, 1).run();
+  ASSERT_TRUE(m.ok) << m.error;
+  EXPECT_EQ(m.dissemination, "tree");
+  EXPECT_EQ(m.to_json().dump(),
+            ScenarioRunner(*without, 1).run().to_json().dump());
+}
+
 TEST(ScenarioSpec, JsonRoundTripIsStable) {
   auto spec = parse(kFailoverSpec);
   ASSERT_TRUE(spec.ok());
@@ -223,7 +273,7 @@ TEST(ScenarioSpec, TopologySectionParsesResolvesAndRoundTrips) {
   ASSERT_TRUE(spec.ok()) << spec.status().to_string();
   const testbed::TopologySpec topo = spec->topology();
   EXPECT_EQ(topo.nodes.size(), 8u);
-  EXPECT_TRUE(topo.multi_hop());
+  EXPECT_TRUE(topo.analyze().multi_hop());
   // Event node refs resolved against the custom role table.
   EXPECT_EQ(spec->events[0].node, topo.find_name("relay_2")->id);
 
@@ -324,7 +374,7 @@ TEST(ScenarioSpec, ShippedScenariosStillParseAndRoundTrip) {
       EXPECT_EQ(topo.nodes.size(), 6u) << name;
       EXPECT_EQ(topo.diameter(), 1) << name;
     } else {
-      EXPECT_TRUE(topo.multi_hop()) << name;
+      EXPECT_TRUE(topo.analyze().multi_hop()) << name;
     }
     const util::Json echo = spec->to_json();
     auto reparsed = ScenarioSpec::from_json(echo);
@@ -523,8 +573,9 @@ TEST(Campaign, AggregatesFailoverLatencyPercentiles) {
 TEST(Campaign, WorkerFailuresAreReportedNotThrown) {
   // Force a deterministic per-run failure: an impossible control period.
   // The parser rejects it up front (schedule feasibility), so re-time the
-  // spec programmatically after parsing — the runner re-validates and every
-  // worker must capture the error in its RunMetrics instead of throwing.
+  // spec programmatically after parsing — TestbedBuilder rejects the plan
+  // and every worker must capture the error in its RunMetrics instead of
+  // throwing.
   auto spec = parse(R"({
     "name": "test-inadmissible",
     "horizon_s": 10

@@ -37,7 +37,7 @@ TEST(TopologySpecFig5, MatchesThePaperTestbed) {
   // Full mesh over six nodes: 15 links, single-hop.
   EXPECT_EQ(spec.links.size(), 15u);
   EXPECT_EQ(spec.diameter(), 1);
-  EXPECT_FALSE(spec.multi_hop());
+  EXPECT_FALSE(spec.analyze().multi_hop());
   // Ctrl-C exists but is outside the VC until the third controller is on.
   EXPECT_EQ(spec.controllers(), (std::vector<net::NodeId>{3, 4, 5}));
   EXPECT_EQ(spec.replica_order(), (std::vector<net::NodeId>{3, 4}));
@@ -53,8 +53,9 @@ TEST(TopologySpecGenerators, LineChainsRolesWithRelaysBetween) {
   ASSERT_TRUE(spec.validate()) << spec.validate().to_string();
   ASSERT_EQ(spec.nodes.size(), 8u);
   EXPECT_EQ(spec.links.size(), 7u);
-  EXPECT_EQ(spec.diameter(), 7);
-  EXPECT_TRUE(spec.multi_hop());
+  const TopologyAnalysis analysis = spec.analyze();
+  EXPECT_EQ(analysis.diameter, 7);
+  EXPECT_TRUE(analysis.multi_hop());
   EXPECT_EQ(spec.relays().size(), 3u);
   // Chain order: gateway, sensor, relays, controllers, actuator — the
   // relays sit between sensor and controllers by construction.
@@ -64,10 +65,10 @@ TEST(TopologySpecGenerators, LineChainsRolesWithRelaysBetween) {
   EXPECT_EQ(spec.nodes[5].name, "ctrl_a");
   EXPECT_EQ(spec.nodes[7].role, NodeRole::kActuator);
   // Interior chain nodes are cut vertices; the ends are not.
-  EXPECT_TRUE(spec.is_cut_vertex(spec.nodes[3].id));
-  EXPECT_TRUE(spec.is_cut_vertex(spec.nodes[5].id));
-  EXPECT_FALSE(spec.is_cut_vertex(spec.nodes[0].id));
-  EXPECT_FALSE(default_fig5_topology().is_cut_vertex(3));
+  EXPECT_TRUE(analysis.is_cut_vertex(spec.nodes[3].id));
+  EXPECT_TRUE(analysis.is_cut_vertex(spec.nodes[5].id));
+  EXPECT_FALSE(analysis.is_cut_vertex(spec.nodes[0].id));
+  EXPECT_FALSE(default_fig5_topology().analyze().is_cut_vertex(3));
 }
 
 TEST(TopologySpecGenerators, GridPlacesRolesAndStaysConnected) {
@@ -78,7 +79,7 @@ TEST(TopologySpecGenerators, GridPlacesRolesAndStaysConnected) {
   EXPECT_EQ(spec.links.size(), 4u * 4u + 5u * 3u);
   EXPECT_EQ(spec.replica_order().size(), 2u);
   EXPECT_EQ(spec.relays().size(), 20u - 5u);
-  EXPECT_TRUE(spec.multi_hop());
+  EXPECT_TRUE(spec.analyze().multi_hop());
   EXPECT_EQ(spec.nodes.front().role, NodeRole::kGateway);
   EXPECT_EQ(spec.nodes[4].role, NodeRole::kSensor);       // top-right
   EXPECT_EQ(spec.nodes.back().role, NodeRole::kActuator); // bottom-right
@@ -123,14 +124,6 @@ TEST(TopologySpecSchedule, PlanIsHopOrderedCoversAllAndReproducesFig5) {
   // Every node owns at least one slot (schedule feasibility).
   std::set<net::NodeId> owners(plan.slots.begin(), plan.slots.end());
   for (const auto& node : line.nodes) EXPECT_TRUE(owners.count(node.id));
-
-  // Forcing the flood back on restores the exact PR 4 frame: no mirror
-  // pass, 8 base + 4 chatty slots.
-  const SchedulePlan flood = plan_schedule(line, DisseminationMode::kFlood);
-  ASSERT_EQ(flood.slots.size(), 8u + 4u);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(flood.slots[i], line.nodes[i].id) << "slot " << i;
-  }
 }
 
 TEST(TopologySpecJson, ExplicitFormRoundTripsByteExactly) {
@@ -445,9 +438,7 @@ TEST(TopologySpecScale1000, DiameterPlanAndTreeParentsArePinned) {
   const TopologyAnalysis analysis = spec.analyze();
   EXPECT_TRUE(analysis.connected);
   EXPECT_EQ(analysis.diameter, 63);  // (40 - 1) + (25 - 1)
-  EXPECT_EQ(plan_schedule(spec, analysis, scenario->testbed.dissemination)
-                .slots.size(),
-            1088u);
+  EXPECT_EQ(plan_schedule(spec, analysis).slots.size(), 1088u);
 
   // Fingerprints of the tree parents, captured before the flat BFS rewrite:
   // the tree must pick the same lowest-id parents, lose and regain relay_3
