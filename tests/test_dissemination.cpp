@@ -152,6 +152,74 @@ TEST(DisseminationTree, GatewayAdjacentLinkLossReRoutesWithinTheGrid) {
   }
 }
 
+TEST(DisseminationTree, EqualLengthPathsPickTheLowestIdParent) {
+  // Diamond 1-2-4 / 1-3-4, links inserted high ids first: the tie still
+  // resolves to relay 2, and the unused relay 3 is pruned.
+  Topology topo;
+  topo.set_link(3, 4, {true, 0.0});
+  topo.set_link(1, 3, {true, 0.0});
+  topo.set_link(2, 4, {true, 0.0});
+  topo.set_link(1, 2, {true, 0.0});
+  const auto tree = DisseminationTree::compute(topo, 1, {4});
+  EXPECT_EQ(tree.parent(4), 2);
+  EXPECT_EQ(tree.parent(2), 1);
+  EXPECT_FALSE(tree.contains(3));
+  EXPECT_EQ(tree.members(), (std::vector<NodeId>{1, 2, 4}));
+  EXPECT_EQ(tree.forwarder_count(), 1u);
+  EXPECT_TRUE(tree.forwards(2));
+}
+
+TEST(DisseminationTree, UnreachableTargetIsPrunedNotFatal) {
+  // A partitioned target is simply absent; the reachable ones keep their
+  // paths and the tree stays rooted at the gateway.
+  Topology topo = Topology::line({1, 2, 3});
+  topo.add_node(9);
+  const auto tree = DisseminationTree::compute(topo, 1, {3, 9});
+  EXPECT_EQ(tree.root(), 1);
+  EXPECT_FALSE(tree.contains(9));
+  EXPECT_EQ(tree.members(), (std::vector<NodeId>{1, 2, 3}));
+  EXPECT_EQ(tree.forwarder_count(), 1u);
+}
+
+TEST(DisseminationTree, NoUsableRootGivesAnEmptyTree) {
+  // Root and every target down: nothing can anchor the tree, and the
+  // empty tree answers every query as "not a member".
+  Topology topo = Topology::line({1, 2, 3});
+  topo.set_node_down(1, true);
+  topo.set_node_down(3, true);
+  const auto tree = DisseminationTree::compute(topo, 1, {1, 3});
+  EXPECT_TRUE(tree.empty());
+  EXPECT_EQ(tree.root(), kInvalidNode);
+  EXPECT_EQ(tree.forwarder_count(), 0u);
+  for (NodeId id : {1, 2, 3}) {
+    EXPECT_FALSE(tree.contains(id)) << id;
+    EXPECT_FALSE(tree.forwards(id)) << id;
+    EXPECT_EQ(tree.parent(id), kInvalidNode) << id;
+  }
+}
+
+TEST(DisseminationTree, NonMembersHaveNoParentAndZeroDegree) {
+  const TopologySpec spec = testbed::grid_topology(5, 4);
+  const Topology topo = spec.to_topology();
+  const auto tree =
+      DisseminationTree::compute(topo, spec.gateway(), targets_of(spec));
+  EXPECT_TRUE(std::is_sorted(tree.members().begin(), tree.members().end()));
+  EXPECT_EQ(tree.parent(tree.root()), kInvalidNode);
+  EXPECT_GE(tree.degree(tree.root()), 1);
+  std::size_t pruned = 0;
+  for (NodeId id : topo.nodes()) {
+    if (tree.contains(id)) continue;
+    ++pruned;
+    EXPECT_EQ(tree.parent(id), kInvalidNode) << id;
+    EXPECT_EQ(tree.degree(id), 0) << id;
+  }
+  EXPECT_GT(pruned, 0u);
+  // Ids past the world's largest one are answered, not indexed blindly.
+  EXPECT_FALSE(tree.contains(5000));
+  EXPECT_EQ(tree.parent(5000), kInvalidNode);
+  EXPECT_EQ(tree.degree(5000), 0);
+}
+
 TEST(DisseminationTreeCache, RecomputesOnlyWhenTheTopologyMutates) {
   const TopologySpec spec = testbed::line_topology(8);
   Topology topo = spec.to_topology();

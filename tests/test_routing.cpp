@@ -188,6 +188,144 @@ TEST_F(RoutingFixture, TreeDeduplicatesCopiesFromTwoRelays) {
   EXPECT_EQ(got, 1);
 }
 
+TEST_F(RoutingFixture, TreeRelayStopsWhenTtlRunsOut) {
+  // TTL bounds tree relaying: with TTL 1 the first relay (2) forwards a
+  // TTL-0 copy, which its neighbour 3 delivers but never re-broadcasts, so
+  // 4 and 5 hear nothing although they are on the tree.
+  cache = std::make_unique<DisseminationTreeCache>(topo, 1,
+                                                   std::vector<NodeId>{1, 5});
+  std::map<NodeId, int> got;
+  for (NodeId id : {1, 2, 3, 4, 5}) {
+    Router& r = make_node(id);
+    r.enable_tree_dissemination(cache.get());
+    r.set_default_ttl(1);
+    r.set_receive_handler([&got, id](const Datagram&) { ++got[id]; });
+  }
+  start_all();
+  ASSERT_TRUE(stacks[1].router->send(kBroadcast, 1, {}));
+  run_for(util::Duration::seconds(2));
+  EXPECT_EQ(got[2], 1);
+  EXPECT_EQ(got[3], 1);
+  EXPECT_EQ(got[4], 0);
+  EXPECT_EQ(got[5], 0);
+  EXPECT_EQ(stacks[2].router->broadcast_relays(), 1u);
+  EXPECT_EQ(stacks[3].router->broadcast_relays(), 0u);
+}
+
+TEST_F(RoutingFixture, ParticipationFollowsTreeMembership) {
+  // Without a tree every node takes part in the broadcast plane; with one,
+  // only the tree's members do, and a crashed member drops out as soon as
+  // the topology changes.
+  Router& plain = make_node(1);
+  EXPECT_TRUE(plain.participates_in_dissemination());
+
+  cache = std::make_unique<DisseminationTreeCache>(topo, 1,
+                                                   std::vector<NodeId>{1, 3});
+  plain.enable_tree_dissemination(cache.get());
+  for (NodeId id : {2, 3, 4, 5}) {
+    make_node(id).enable_tree_dissemination(cache.get());
+  }
+  for (NodeId id : {1, 2, 3}) {
+    EXPECT_TRUE(stacks[id].router->participates_in_dissemination()) << id;
+  }
+  for (NodeId id : {4, 5}) {
+    EXPECT_FALSE(stacks[id].router->participates_in_dissemination()) << id;
+  }
+  topo.set_node_down(2, true);
+  EXPECT_FALSE(stacks[2].router->participates_in_dissemination());
+}
+
+TEST_F(RoutingFixture, BeaconProbeRelayIsSkippedAfterTaggedDataThenResumes) {
+  // Line 1-2-3, tree rooted at 1: relay 2 already carries the head's
+  // current tag on its own data frames. The first probe after such a frame
+  // says nothing new to 2's neighbours, so 2 skips it; the next probe finds
+  // the link silent since then and is relayed.
+  cache = std::make_unique<DisseminationTreeCache>(topo, 1,
+                                                   std::vector<NodeId>{1, 3});
+  int probes_at_3 = 0;
+  int data_at_3 = 0;
+  for (NodeId id : {1, 2, 3}) {
+    Router& r = make_node(id);
+    r.enable_tree_dissemination(cache.get());
+    r.set_beacon_tag({1, 5});
+  }
+  stacks[3].router->set_receive_handler([&](const Datagram& d) {
+    ++(d.beacon_probe ? probes_at_3 : data_at_3);
+  });
+  start_all();
+  Router& relay = *stacks[2].router;
+  ASSERT_TRUE(relay.send(kBroadcast, 1, {}));
+  run_for(util::Duration::seconds(1));
+  EXPECT_EQ(data_at_3, 1);
+  EXPECT_EQ(relay.tagged_broadcast_sends(), 1u);
+
+  ASSERT_TRUE(stacks[1].router->send_beacon(2, {}));
+  run_for(util::Duration::seconds(1));
+  EXPECT_EQ(relay.beacon_relays_suppressed(), 1u);
+  EXPECT_EQ(relay.broadcast_relays(), 0u);
+  EXPECT_EQ(probes_at_3, 0);
+
+  ASSERT_TRUE(stacks[1].router->send_beacon(2, {}));
+  run_for(util::Duration::seconds(1));
+  EXPECT_EQ(relay.beacon_relays_suppressed(), 1u);
+  EXPECT_EQ(relay.broadcast_relays(), 1u);
+  EXPECT_EQ(probes_at_3, 1);
+}
+
+TEST_F(RoutingFixture, BeaconProbeIsRelayedWhenTheRelaysTagIsStale) {
+  // Relay 2's data frames carried an older beacon seq than the probe, so
+  // its neighbours have not seen this proof yet: the probe must go on.
+  cache = std::make_unique<DisseminationTreeCache>(topo, 1,
+                                                   std::vector<NodeId>{1, 3});
+  int probes_at_3 = 0;
+  for (NodeId id : {1, 2, 3}) make_node(id).enable_tree_dissemination(cache.get());
+  stacks[1].router->set_beacon_tag({1, 5});
+  stacks[2].router->set_beacon_tag({1, 4});
+  stacks[3].router->set_receive_handler([&](const Datagram& d) {
+    if (d.beacon_probe) ++probes_at_3;
+  });
+  start_all();
+  Router& relay = *stacks[2].router;
+  ASSERT_TRUE(relay.send(kBroadcast, 1, {}));
+  run_for(util::Duration::seconds(1));
+  ASSERT_TRUE(stacks[1].router->send_beacon(2, {}));
+  run_for(util::Duration::seconds(1));
+  EXPECT_EQ(relay.beacon_relays_suppressed(), 0u);
+  EXPECT_EQ(relay.broadcast_relays(), 1u);
+  EXPECT_EQ(probes_at_3, 1);
+}
+
+TEST_F(RoutingFixture, BeaconObserverSeesEveryCopyBeforeDedup) {
+  // Same diamond as TreeDeduplicatesCopiesFromTwoRelays: node 4 delivers
+  // the datagram once but observes the beacon tag on both copies, because
+  // liveness gossip must not depend on which copy won the dedup race.
+  topo = Topology();
+  topo.set_link(1, 2, {true, 0.0});
+  topo.set_link(1, 3, {true, 0.0});
+  topo.set_link(2, 4, {true, 0.0});
+  topo.set_link(3, 4, {true, 0.0});
+  topo.set_link(3, 5, {true, 0.0});
+  cache = std::make_unique<DisseminationTreeCache>(
+      topo, 1, std::vector<NodeId>{1, 4, 5});
+  int delivered = 0;
+  int observed = 0;
+  for (NodeId id : {1, 2, 3, 4, 5}) {
+    make_node(id).enable_tree_dissemination(cache.get());
+  }
+  stacks[1].router->set_beacon_tag({1, 3});
+  stacks[4].router->set_receive_handler([&](const Datagram&) { ++delivered; });
+  stacks[4].router->set_beacon_observer([&](const BeaconTag& tag) {
+    EXPECT_EQ(tag.head, 1);
+    EXPECT_EQ(tag.seq, 3);
+    ++observed;
+  });
+  start_all();
+  ASSERT_TRUE(stacks[1].router->send(kBroadcast, 1, {}));
+  run_for(util::Duration::seconds(2));
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(observed, 2);
+}
+
 TEST_F(RoutingFixture, BroadcastIsOneHop) {
   Router& a = make_node(1);
   Router& b = make_node(2);

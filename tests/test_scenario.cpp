@@ -216,6 +216,19 @@ TEST(ScenarioRunner, ProgrammaticInfeasibleScheduleFailsItsRun) {
   EXPECT_EQ(m.error, spec.validate().message());
 }
 
+TEST(ScenarioRunner, SingleHopWorldNeverRelaysBroadcasts) {
+  // The Fig. 5 full mesh is single-hop: the builder installs no tree, so
+  // every broadcast costs exactly its origination slot.
+  auto spec = parse(R"({"name": "single-hop", "horizon_s": 10})");
+  ASSERT_TRUE(spec.ok());
+  const RunMetrics m = ScenarioRunner(*spec, 1).run();
+  ASSERT_TRUE(m.ok) << m.error;
+  EXPECT_EQ(m.dissemination, "single_hop");
+  EXPECT_GT(m.bcast_datagrams, 0u);
+  EXPECT_EQ(m.bcast_transmissions, m.bcast_datagrams);
+  EXPECT_DOUBLE_EQ(m.slots_per_broadcast, 1.0);
+}
+
 TEST(ScenarioSpec, RemovedTestbedKeysAreIgnoredAndNotEchoed) {
   // Older specs (and generated workloads) still carry testbed keys whose
   // knobs are gone. They must parse, vanish from the echo, and run the

@@ -126,6 +126,35 @@ TEST(TopologySpecSchedule, PlanIsHopOrderedCoversAllAndReproducesFig5) {
   for (const auto& node : line.nodes) EXPECT_TRUE(owners.count(node.id));
 }
 
+TEST(TopologySpecSchedule, StarMirrorPassIsTheHubAlone) {
+  // A star is multi-hop (leaf to leaf is two hops) but its tree has one
+  // interior node, the gateway hub, so the mirror pass is one slot.
+  const TopologySpec star = star_topology(8);
+  const TopologyAnalysis analysis = star.analyze();
+  ASSERT_TRUE(analysis.multi_hop());
+  const SchedulePlan plan = plan_schedule(star, analysis);
+  std::size_t chatty = std::min<std::size_t>(star.replica_order().size(), 2) + 1;
+  for (const auto& node : star.nodes) {
+    if (node.role == NodeRole::kSensor) ++chatty;
+  }
+  ASSERT_EQ(plan.slots.size(), star.nodes.size() + 1 + chatty);
+  EXPECT_EQ(plan.slots.front(), star.gateway());
+  EXPECT_EQ(plan.slots[star.nodes.size()], star.gateway());
+}
+
+TEST(SchedulePlan, FitsUpToTheControlPeriodAndNamesTheOverrun) {
+  SchedulePlan plan;
+  plan.slots = {1, 2, 3, 4};  // 4 x 5 ms = 20 ms
+  EXPECT_TRUE(plan.fits(util::Duration::millis(20)));
+  EXPECT_TRUE(plan.fits(util::Duration::millis(250)));
+  const util::Status over = plan.fits(util::Duration::millis(19));
+  EXPECT_FALSE(over);
+  EXPECT_EQ(over.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(over.message(),
+            "infeasible schedule: the 4-slot RT-Link frame (20 ms) exceeds "
+            "the 19 ms control period");
+}
+
 TEST(TopologySpecJson, ExplicitFormRoundTripsByteExactly) {
   for (const TopologySpec& spec :
        {default_fig5_topology(true, 0.05), line_topology(9, 3, 0.01),
