@@ -92,8 +92,8 @@ class Router {
   /// Out-of-tree pure relays neither receive the beacon plane reliably nor
   /// hold replicas, so head-liveness supervision skips them.
   bool participates_in_dissemination() const;
-  /// TTL stamped on originated datagrams (raise to at least the network
-  /// diameter for multi-hop worlds).
+  /// TTL stamped on originated datagrams. Multi-hop worlds raise it to
+  /// cover the longest relay path (TopologyAnalysis::relay_ttl()).
   void set_default_ttl(std::uint8_t ttl) { default_ttl_ = ttl; }
 
   /// Install the freshest head-beacon tag; stamped onto every datagram this

@@ -18,6 +18,9 @@ using util::Json;
 
 namespace {
 
+/// Timing-block sums of RunMetrics::wall_{setup,run,teardown}_ms, in order.
+constexpr const char* kPhaseSums[] = {"setup_ms_sum", "run_ms_sum", "teardown_ms_sum"};
+
 Json summarize(const util::Samples& samples, const std::string& unit) {
   return util::to_json(samples.summarize(), unit);
 }
@@ -213,9 +216,13 @@ Json campaign_report(const ScenarioSpec& spec, const CampaignConfig& config,
   // test fixtures) get no block at all.
   if (result.wall_ms > 0.0) {
     std::uint64_t events = 0, slots = 0;
+    double phase_ms[3] = {0.0, 0.0, 0.0};
     for (const auto& run : result.runs) {
       events += run.sim_events;
       slots += run.sim_slots;
+      phase_ms[0] += run.wall_setup_ms;
+      phase_ms[1] += run.wall_run_ms;
+      phase_ms[2] += run.wall_teardown_ms;
     }
     Json timing = Json::object();
     timing.set("wall_ms", result.wall_ms);
@@ -223,6 +230,7 @@ Json campaign_report(const ScenarioSpec& spec, const CampaignConfig& config,
     timing.set("sim_slots", static_cast<std::int64_t>(slots));
     timing.set("sim_slots_per_sec",
                static_cast<double>(slots) / (result.wall_ms / 1000.0));
+    for (std::size_t i = 0; i < 3; ++i) timing.set(kPhaseSums[i], phase_ms[i]);
     root.set("timing", std::move(timing));
   }
   return root;
@@ -248,6 +256,7 @@ util::Result<Json> merge_campaign_reports(const std::vector<Json>& reports) {
   double wall_ms = 0.0;
   std::int64_t events_dispatched = 0;
   std::int64_t sim_slots = 0;
+  double phase_ms[3] = {0.0, 0.0, 0.0};
   std::size_t timed_shards = 0;
   bool first = true;
   for (const Json& report : reports) {
@@ -282,6 +291,9 @@ util::Result<Json> merge_campaign_reports(const std::vector<Json>& reports) {
         events_dispatched += e->as_int();
       }
       if (const Json* s = timing->find("sim_slots")) sim_slots += s->as_int();
+      for (std::size_t i = 0; i < 3; ++i) {
+        if (const Json* p = timing->find(kPhaseSums[i])) phase_ms[i] += p->as_double();
+      }
     }
     first = false;
     const Json* shard_runs = report.find("runs");
@@ -339,6 +351,7 @@ util::Result<Json> merge_campaign_reports(const std::vector<Json>& reports) {
     timing.set("wall_ms_sum", wall_ms);
     timing.set("events_dispatched", events_dispatched);
     timing.set("sim_slots", sim_slots);
+    for (std::size_t i = 0; i < 3; ++i) timing.set(kPhaseSums[i], phase_ms[i]);
     if (timed_shards == 1) {
       timing.set("wall_ms", wall_ms);
       timing.set("sim_slots_per_sec",

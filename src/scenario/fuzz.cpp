@@ -113,25 +113,25 @@ ScenarioSpec generate_spec(std::uint64_t run_seed, const GeneratorConfig& config
             static_cast<std::size_t>(rng.uniform_int(6, 9)));
         break;
     }
-    // The control cycle must leave headroom over the TDMA frame: relayed
-    // broadcasts cost each tree relay one slot per unique datagram, so give
-    // the frame ~8x slack and stretch the head's promotion supervision to
-    // cover multi-hop heartbeat latency.
-    const testbed::SchedulePlan plan =
-        testbed::plan_schedule(spec.testbed.topology);
-    const double frame_ms = plan.frame_length().to_seconds() * 1e3;
-    const double period_ms = std::max(250.0, std::ceil(frame_ms * 8.0 / 50.0) * 50.0);
-    spec.testbed.control_period = util::Duration::from_seconds(period_ms / 1e3);
-    spec.testbed.promotion_timeout = util::Duration::from_seconds(
-        std::max(2.0, 4.0 * period_ms / 1e3));
   } else {
     spec.testbed.third_controller = rng.bernoulli(0.4);
     spec.testbed.link_loss =
         rng.bernoulli(0.5) ? q6(rng.uniform(0.0, config.max_testbed_loss)) : 0.0;
   }
-
   const testbed::TopologySpec topo = spec.topology();
   const testbed::TopologyAnalysis analysis = topo.analyze();
+  if (!spec.testbed.topology.empty()) {
+    // The control cycle must leave headroom over the TDMA frame: relayed
+    // broadcasts cost each tree relay one slot per unique datagram, so give
+    // the frame ~8x slack and stretch the head's promotion supervision to
+    // cover multi-hop heartbeat latency.
+    const testbed::SchedulePlan plan = testbed::plan_schedule(topo, analysis);
+    const double frame_ms = plan.frame_length().to_seconds() * 1e3;
+    const double period_ms = std::max(250.0, std::ceil(frame_ms * 8.0 / 50.0) * 50.0);
+    spec.testbed.control_period = util::Duration::from_seconds(period_ms / 1e3);
+    spec.testbed.promotion_timeout = util::Duration::from_seconds(
+        std::max(2.0, 4.0 * period_ms / 1e3));
+  }
   // Event targets: every VC member (relays included — crashing the relay
   // between sensor and controllers is exactly the stress multi-hop worlds
   // add); controllers in replica-priority order.

@@ -7,12 +7,6 @@
 
 namespace evm::testbed {
 
-TestbedBuilder::TestbedBuilder(TopologySpec topology, GasPlantTestbedConfig config)
-    : TestbedBuilder([&] {
-        config.topology = std::move(topology);
-        return std::move(config);
-      }()) {}
-
 TestbedBuilder::TestbedBuilder(GasPlantTestbedConfig config)
     : config_(std::move(config)),
       topo_(config_.topology.empty()
@@ -25,7 +19,7 @@ TestbedBuilder::TestbedBuilder(GasPlantTestbedConfig config)
   if (util::Status valid = topo_.validate(analysis); !valid) {
     throw std::runtime_error("invalid topology: " + valid.to_string());
   }
-  diameter_ = analysis.diameter;
+  multi_hop_ = analysis.multi_hop();
   topology_ = topo_.to_topology();
   medium_ = std::make_unique<net::Medium>(sim_, topology_);
 
@@ -53,7 +47,7 @@ TestbedBuilder::TestbedBuilder(GasPlantTestbedConfig config)
   hil_ = std::make_unique<plant::HilHarness>(sim_, plant_, hil_config);
 
   build_descriptor();
-  build_nodes();
+  build_nodes(analysis.relay_ttl());
 }
 
 net::NodeId TestbedBuilder::initial_primary() const {
@@ -128,7 +122,7 @@ void TestbedBuilder::build_descriptor() {
   }
 }
 
-void TestbedBuilder::build_nodes() {
+void TestbedBuilder::build_nodes(std::uint8_t relay_ttl) {
   core::FailoverPolicy policy;
   policy.reports_required = 1;
   policy.dormant_delay = config_.dormant_delay;
@@ -144,7 +138,6 @@ void TestbedBuilder::build_nodes() {
   // dissemination over the gateway-rooted spanning tree pruned to the role
   // nodes, so multicast cost follows the tree size; single-hop worlds never
   // relay, and the tree cache is only built where relaying happens.
-  const std::uint8_t ttl = static_cast<std::uint8_t>(std::max(8, diameter_ + 1));
   if (multi_hop()) {
     tree_cache_ = std::make_unique<net::DisseminationTreeCache>(
         topology_, topo_.gateway(), topo_.dissemination_targets());
@@ -165,7 +158,7 @@ void TestbedBuilder::build_nodes() {
       // Control unicasts must not queue behind relay traffic (see
       // Mac::set_unicast_priority for why single-hop worlds keep one FIFO).
       nodes_[entry.id]->mac().set_unicast_priority(true);
-      nodes_[entry.id]->router().set_default_ttl(ttl);
+      nodes_[entry.id]->router().set_default_ttl(relay_ttl);
     }
     services_[entry.id] =
         std::make_unique<core::EvmService>(*nodes_[entry.id], descriptor_, policy);

@@ -4,8 +4,8 @@
 // service per spec entry, and a Virtual Component descriptor derived from
 // the spec's roles and membership (sensor publishes to every replica, the
 // primary actuates, backups hold health-assessment transfers). The six-node
-// Fig. 5 testbed is just TestbedBuilder(default_fig5_topology()); a 20-node
-// multi-hop grid is the same code fed different data.
+// Fig. 5 testbed and a 20-node multi-hop grid are the same code fed
+// different data.
 #pragma once
 
 #include <map>
@@ -70,10 +70,6 @@ class TestbedBuilder {
   /// resolved world lives in topology_spec() only — config().topology is
   /// moved out, so there is exactly one source of truth.
   explicit TestbedBuilder(GasPlantTestbedConfig config);
-  /// Convenience: override the config's world with an explicit spec
-  /// (e.g. TestbedBuilder(line_topology(8))).
-  explicit TestbedBuilder(TopologySpec topology,
-                          GasPlantTestbedConfig config = {});
 
   /// Settle the plant at its steady operating point, start every node, the
   /// time sync, the MACs and the HIL harness.
@@ -92,10 +88,8 @@ class TestbedBuilder {
   plant::HilHarness& hil() { return *hil_; }
   net::Topology& topology() { return topology_; }
   const TopologySpec& topology_spec() const { return topo_; }
-  /// The world's diameter, kept from the one analysis the constructor runs
-  /// (it sets the routing TTL and whether the world is multi-hop).
-  int diameter() const { return diameter_; }
-  bool multi_hop() const { return diameter_ > 1; }
+  /// Multi-hop worlds relay broadcasts over the dissemination tree.
+  bool multi_hop() const { return multi_hop_; }
   net::Medium& medium() { return *medium_; }
   net::RtLinkSchedule& schedule() { return *schedule_; }
   core::Node& node(net::NodeId id) { return *nodes_.at(id); }
@@ -120,12 +114,12 @@ class TestbedBuilder {
 
  private:
   void build_descriptor();
-  void build_nodes();
+  void build_nodes(std::uint8_t relay_ttl);
   net::NodeId initial_primary() const;
 
   GasPlantTestbedConfig config_;
   TopologySpec topo_;
-  int diameter_ = -1;
+  bool multi_hop_ = false;
   sim::Simulator sim_;
   net::Topology topology_;
   std::unique_ptr<net::Medium> medium_;

@@ -347,13 +347,6 @@ Status check_structure(const TopologySpec& spec) {
   return Status::ok();
 }
 
-Status check_connected(const TopologyAnalysis& analysis) {
-  if (!analysis.connected) {
-    return Status::invalid_argument("topology is disconnected");
-  }
-  return Status::ok();
-}
-
 }  // namespace
 
 int TopologyAnalysis::hops_from_gateway(net::NodeId id) const {
@@ -366,36 +359,42 @@ bool TopologyAnalysis::is_cut_vertex(net::NodeId id) const {
          cut_vertices[id] != 0;
 }
 
+std::uint8_t TopologyAnalysis::relay_ttl() const {
+  return static_cast<std::uint8_t>(std::clamp(2 * depth + 1, 8, 255));
+}
+
 TopologyAnalysis TopologySpec::analyze() const {
   TopologyAnalysis analysis;
   const net::Topology graph = to_topology();
-  graph.bfs(gateway(), analysis.gateway_hops);
-  // All-pairs BFS for the diameter; a search that misses a node proves the
-  // world disconnected and ends the scan.
-  analysis.connected = true;
-  analysis.diameter = 0;
-  std::vector<std::int32_t> dist;
-  for (const auto& node : nodes) {
-    const net::Topology::BfsReach reach = graph.bfs(node.id, dist);
-    if (reach.reached != nodes.size()) {
-      analysis.connected = false;
-      analysis.diameter = -1;
-      break;
-    }
-    analysis.diameter = std::max(analysis.diameter, static_cast<int>(reach.depth));
-  }
+  const net::Topology::BfsReach reach = graph.bfs(gateway(), analysis.gateway_hops);
+  analysis.connected = reach.reached == nodes.size();
+  analysis.depth = reach.depth;
+  analysis.full_mesh = std::all_of(nodes.begin(), nodes.end(), [&](const TopologyNode& n) {
+    return graph.neighbors_view(n.id).size() + 1 == nodes.size();
+  });
   analysis.cut_vertices = find_cut_vertices(graph, nodes, analysis.connected);
   return analysis;
 }
 
-util::Status TopologySpec::validate() const {
-  if (Status s = check_structure(*this); !s) return s;
-  return check_connected(analyze());
+int TopologySpec::diameter() const {
+  // A search that misses a node proves the world disconnected.
+  const net::Topology graph = to_topology();
+  std::vector<std::int32_t> dist;
+  int diameter = 0;
+  for (const auto& node : nodes) {
+    const net::Topology::BfsReach reach = graph.bfs(node.id, dist);
+    if (reach.reached != nodes.size()) return -1;
+    diameter = std::max(diameter, static_cast<int>(reach.depth));
+  }
+  return diameter;
 }
+
+util::Status TopologySpec::validate() const { return validate(analyze()); }
 
 util::Status TopologySpec::validate(const TopologyAnalysis& analysis) const {
   if (Status s = check_structure(*this); !s) return s;
-  return check_connected(analysis);
+  if (!analysis.connected) return Status::invalid_argument("topology is disconnected");
+  return Status::ok();
 }
 
 util::Status SchedulePlan::fits(util::Duration control_period) const {
@@ -405,10 +404,6 @@ util::Status SchedulePlan::fits(util::Duration control_period) const {
       "-slot RT-Link frame (" + std::to_string(frame_length().ms()) +
       " ms) exceeds the " + std::to_string(control_period.ms()) +
       " ms control period");
-}
-
-SchedulePlan plan_schedule(const TopologySpec& topo) {
-  return plan_schedule(topo, topo.analyze());
 }
 
 SchedulePlan plan_schedule(const TopologySpec& topo,

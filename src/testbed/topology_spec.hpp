@@ -69,25 +69,30 @@ struct SchedulePlan {
   util::Status fits(util::Duration control_period) const;
 };
 
-/// Everything the testbed derives from a world's link graph, computed in
-/// one pass (TopologySpec::analyze) over flat vectors indexed by raw NodeId:
-/// connectivity, the diameter (routing TTL, single- vs multi-hop), hop
-/// counts from the gateway (the slot plan's order) and the cut vertices
-/// (the bound of the fail-stop fault model, from one Tarjan pass).
-/// validate(), plan_schedule() and TestbedBuilder all take it, so a world
-/// is analysed once instead of once per question.
+/// Everything the testbed derives from a world's link graph, in one pass
+/// (TopologySpec::analyze) over flat vectors indexed by raw NodeId: one
+/// gateway BFS (connectivity, depth, the slot plan's hop order), a degree
+/// check (multi-hop) and one Tarjan pass (cut vertices, the bound of the
+/// fail-stop fault model). validate(), plan_schedule() and TestbedBuilder
+/// all take it, so a world is analysed once instead of once per question.
 struct TopologyAnalysis {
-  /// Every spec node reaches every other over the spec's links.
+  /// The gateway reaches every spec node over the spec's links.
   bool connected = false;
-  /// Longest shortest-path hop count between any node pair; -1 when the
-  /// graph is disconnected. 1 on the Fig. 5 full mesh.
-  int diameter = -1;
+  /// Every node links directly to every other (the Fig. 5 mesh).
+  bool full_mesh = false;
+  /// Deepest BFS hop count from the gateway.
+  int depth = 0;
   /// BFS hop count from the gateway; -1 where unreachable.
   std::vector<std::int32_t> gateway_hops;
   /// Non-zero where removing the node disconnects the remaining nodes.
   std::vector<std::uint8_t> cut_vertices;
 
-  bool multi_hop() const { return diameter > 1; }
+  /// Connected, with some node pair more than one hop apart. Not read off
+  /// `depth`: a gateway-centred star has depth 1.
+  bool multi_hop() const { return connected && !full_mesh; }
+  /// Relayed-broadcast TTL, max(8, 2·depth + 1) saturated at 255: no tree
+  /// path or shortest path is longer than 2·depth hops.
+  std::uint8_t relay_ttl() const;
   /// -1 for ids the gateway cannot reach (or the spec does not have).
   int hops_from_gateway(net::NodeId id) const;
   /// False for ids the spec does not have.
@@ -130,9 +135,9 @@ struct TopologySpec {
   /// The world's one topology analysis (see TopologyAnalysis). Defined on
   /// any spec; only meaningful for a structurally valid one.
   TopologyAnalysis analyze() const;
-  /// Convenience wrapper running a full analyze(): callers asking more than
-  /// one question should analyse once and keep the result.
-  int diameter() const { return analyze().diameter; }
+  /// Longest shortest-path hop count; -1 when disconnected. A BFS per node,
+  /// O(N·(N+E)), so no setup path calls it.
+  int diameter() const;
 
   /// Structural checks: unique ids/names, exactly one gateway, at least one
   /// sensor / actuator / vc-member controller, well-formed connected links.
@@ -156,8 +161,6 @@ struct TopologySpec {
 /// where the tree does: on multi-hop worlds.
 SchedulePlan plan_schedule(const TopologySpec& topo,
                            const TopologyAnalysis& analysis);
-/// Same plan, analysing `topo` first.
-SchedulePlan plan_schedule(const TopologySpec& topo);
 
 /// The paper's Fig. 5 six-node testbed: gateway, sensor, three controllers
 /// (Ctrl-C built but outside the VC unless `third_controller`), actuator,

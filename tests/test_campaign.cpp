@@ -226,6 +226,52 @@ TEST(CampaignShards, MergedTimingSumsWallHonestly) {
                    200.0 / 0.05);
 }
 
+TEST(CampaignShards, MergedTimingAddsUpThePhaseSums) {
+  // Each shard's timing block sums its runs' setup/run/teardown profiles;
+  // the merge adds those sums up, and per-run JSON never carries them.
+  const ScenarioSpec spec = minimal_spec();
+  std::vector<util::Json> shard_reports;
+  for (std::size_t shard = 0; shard < 2; ++shard) {
+    CampaignConfig config;
+    config.base_seed = 1;
+    config.seeds = 4;
+    config.shard_index = shard;
+    config.shard_count = 2;
+    CampaignResult result;
+    for (std::uint64_t i = shard; i < 4; i += 2) {
+      RunMetrics run = ok_run(1 + i, 2.0);
+      run.wall_setup_ms = 1.5 * static_cast<double>(1 + i);
+      run.wall_run_ms = 10.0;
+      run.wall_teardown_ms = 0.25;
+      result.runs.push_back(run);
+    }
+    result.wall_ms = 50.0;
+    shard_reports.push_back(campaign_report(spec, config, result));
+  }
+  // -1 marks a missing key.
+  const auto ms = [](const util::Json* timing, const char* key) {
+    const util::Json* value = timing->find(key);
+    return value == nullptr ? -1.0 : value->as_double();
+  };
+  const util::Json* first = shard_reports[0].find("timing");
+  ASSERT_NE(first, nullptr);
+  EXPECT_DOUBLE_EQ(ms(first, "setup_ms_sum"), 1.5 + 4.5);
+  EXPECT_DOUBLE_EQ(ms(first, "run_ms_sum"), 20.0);
+  EXPECT_DOUBLE_EQ(ms(first, "teardown_ms_sum"), 0.5);
+
+  auto merged = merge_campaign_reports(shard_reports);
+  ASSERT_TRUE(merged.ok()) << merged.status().to_string();
+  const util::Json* timing = merged->find("timing");
+  ASSERT_NE(timing, nullptr);
+  EXPECT_DOUBLE_EQ(ms(timing, "setup_ms_sum"), 1.5 * (1 + 2 + 3 + 4));
+  EXPECT_DOUBLE_EQ(ms(timing, "run_ms_sum"), 40.0);
+  EXPECT_DOUBLE_EQ(ms(timing, "teardown_ms_sum"), 1.0);
+  for (const util::Json& run : merged->find("runs")->elements()) {
+    EXPECT_EQ(run.find("wall_setup_ms"), nullptr);
+    EXPECT_EQ(run.find("setup_ms_sum"), nullptr);
+  }
+}
+
 TEST(CampaignShards, ShardedRunCampaignCoversDisjointSeeds) {
   // The striding itself: 0/2 owns seeds {1,3,5}, 1/2 owns {2,4} of a
   // 5-seed campaign starting at 1 (verified through real runner failures,
@@ -419,6 +465,10 @@ TEST(CampaignTiming, RealRunsCarryAWallClockTimingBlock) {
   ASSERT_NE(timing->find("events_dispatched"), nullptr);
   ASSERT_NE(timing->find("sim_slots"), nullptr);
   ASSERT_NE(timing->find("sim_slots_per_sec"), nullptr);
+  for (const char* key : {"setup_ms_sum", "run_ms_sum", "teardown_ms_sum"}) {
+    ASSERT_NE(timing->find(key), nullptr) << key;
+    EXPECT_GE(timing->find(key)->as_double(), 0.0) << key;
+  }
 }
 
 TEST(CampaignTiming, HandBuiltResultsStayByteStableWithNoTimingBlock) {

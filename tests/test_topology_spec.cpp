@@ -54,7 +54,8 @@ TEST(TopologySpecGenerators, LineChainsRolesWithRelaysBetween) {
   ASSERT_EQ(spec.nodes.size(), 8u);
   EXPECT_EQ(spec.links.size(), 7u);
   const TopologyAnalysis analysis = spec.analyze();
-  EXPECT_EQ(analysis.diameter, 7);
+  EXPECT_EQ(analysis.depth, 7);
+  EXPECT_EQ(spec.diameter(), 7);
   EXPECT_TRUE(analysis.multi_hop());
   EXPECT_EQ(spec.relays().size(), 3u);
   // Chain order: gateway, sensor, relays, controllers, actuator — the
@@ -99,7 +100,8 @@ TEST(TopologySpecGenerators, StarHangsLeavesOffTheGateway) {
 TEST(TopologySpecSchedule, PlanIsHopOrderedCoversAllAndReproducesFig5) {
   // Fig. 5: the historic 10-slot frame — one slot per node in id order,
   // then extra slots for sensor, ctrl_a, ctrl_b and the gateway.
-  const SchedulePlan fig5 = plan_schedule(default_fig5_topology());
+  const TopologySpec mesh = default_fig5_topology();
+  const SchedulePlan fig5 = plan_schedule(mesh, mesh.analyze());
   EXPECT_EQ(fig5.slots,
             (std::vector<net::NodeId>{1, 2, 3, 4, 5, 6, 2, 3, 4, 1}));
   EXPECT_EQ(fig5.frame_length(), util::Duration::millis(50));
@@ -110,7 +112,7 @@ TEST(TopologySpecSchedule, PlanIsHopOrderedCoversAllAndReproducesFig5) {
   // descending hop order, so inward traffic (fault reports racing to the
   // head) chains across hops inside the same frame too.
   const TopologySpec line = line_topology(8);
-  const SchedulePlan plan = plan_schedule(line);
+  const SchedulePlan plan = plan_schedule(line, line.analyze());
   // 8 base + 6 interior mirror slots + sensor + two replicas + gateway.
   ASSERT_EQ(plan.slots.size(), 8u + 6u + 4u);
   for (std::size_t i = 0; i < 8; ++i) {
@@ -339,16 +341,21 @@ class ReferenceGraph {
   std::map<net::NodeId, std::set<net::NodeId>> adj_;
 };
 
-/// Diameter, every gateway hop count and every node's cut-vertex verdict
-/// must match the reference.
+/// Connectivity, single- vs multi-hop, the gateway depth (and its bound on
+/// the diameter), every gateway hop count and every node's cut-vertex
+/// verdict must match the reference; so must the all-pairs diameter().
 void expect_matches_reference(const TopologySpec& spec, const std::string& label) {
   const TopologyAnalysis analysis = spec.analyze();
   const ReferenceGraph ref(spec);
   const int diameter = ref.diameter();
-  EXPECT_EQ(analysis.diameter, diameter) << label;
   EXPECT_EQ(analysis.connected, diameter >= 0) << label;
+  EXPECT_EQ(analysis.multi_hop(), diameter > 1) << label;
+  EXPECT_GE(2 * analysis.depth, diameter) << label;
   EXPECT_EQ(spec.diameter(), diameter) << label;
   const auto gateway_hops = ref.hops(spec.gateway());
+  int depth = 0;
+  for (const auto& [id, h] : gateway_hops) depth = std::max(depth, h);
+  EXPECT_EQ(analysis.depth, depth) << label;
   for (const auto& node : spec.nodes) {
     const auto it = gateway_hops.find(node.id);
     EXPECT_EQ(analysis.hops_from_gateway(node.id),
@@ -412,6 +419,22 @@ TEST(TopologyAnalysisOracle, GeneratorWorldsMatchTheReference) {
   }
 }
 
+TEST(TopologyAnalysisOracle, MeshMissingOneLinkIsMultiHopAtDepthOne) {
+  // The gateway still hears every node directly, but ctrl_a and ctrl_b are
+  // two hops apart: multi-hop is not a question of gateway depth.
+  TopologySpec spec = default_fig5_topology();
+  spec.links.erase(std::remove_if(spec.links.begin(), spec.links.end(),
+                                  [](const TopologyLink& l) {
+                                    return l.a == 3 && l.b == 4;
+                                  }),
+                   spec.links.end());
+  ASSERT_EQ(spec.links.size(), 14u);
+  const TopologyAnalysis analysis = spec.analyze();
+  EXPECT_EQ(analysis.depth, 1);
+  EXPECT_TRUE(analysis.multi_hop());
+  expect_matches_reference(spec, "fig5-minus-3-4");
+}
+
 TEST(TopologyAnalysisOracle, FuzzGeneratedWorldsMatchTheReference) {
   const scenario::GeneratorConfig config;
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
@@ -444,6 +467,14 @@ TEST(TopologyAnalysis, UnknownIdsAreNeitherReachableNorCut) {
   EXPECT_FALSE(analysis.is_cut_vertex(net::kInvalidNode));
 }
 
+TEST(TopologyAnalysis, RelayTtlIsTwiceTheDepthPlusOneSaturated) {
+  EXPECT_EQ(default_fig5_topology().analyze().relay_ttl(), 8);  // floor
+  EXPECT_EQ(line_topology(8).analyze().relay_ttl(), 15);        // depth 7
+  EXPECT_EQ(grid_topology(40, 25).analyze().relay_ttl(), 127);  // depth 63
+  // Depth 299: 2 * 299 + 1 does not fit a byte and must not wrap.
+  EXPECT_EQ(line_topology(300).analyze().relay_ttl(), 255);
+}
+
 // --- The 1000-node tier, pinned -------------------------------------------
 
 /// FNV-1a over "id:parent;" for every tree member in ascending id order.
@@ -466,7 +497,8 @@ TEST(TopologySpecScale1000, DiameterPlanAndTreeParentsArePinned) {
   ASSERT_EQ(spec.nodes.size(), 1000u);
   const TopologyAnalysis analysis = spec.analyze();
   EXPECT_TRUE(analysis.connected);
-  EXPECT_EQ(analysis.diameter, 63);  // (40 - 1) + (25 - 1)
+  EXPECT_EQ(analysis.depth, 63);  // (40 - 1) + (25 - 1) from the corner
+  EXPECT_EQ(spec.diameter(), 63);
   EXPECT_EQ(plan_schedule(spec, analysis).slots.size(), 1088u);
 
   // Fingerprints of the tree parents, captured before the flat BFS rewrite:
