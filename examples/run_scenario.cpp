@@ -14,8 +14,11 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cli_util.hpp"
 #include "obs/trace_recorder.hpp"
@@ -48,13 +51,11 @@ int usage(const char* argv0) {
       << "  --update-baselines FILE rewrite this scenario's baseline entry from\n"
       << "                   the campaign just run (the documented path for\n"
       << "                   intentional perf changes)\n"
-      << "  --csv FILE       dump the base seed's plant trace as CSV\n"
-      << "  --trace-json FILE  dump the base seed's plant trace as JSON\n"
-      << "  --print-trace    print the base seed's trace table (20 s grid)\n"
-      << "  --trace FILE     re-run the base seed with event tracing on and\n"
-      << "                   write Chrome trace-event JSON (open in Perfetto\n"
-      << "                   or chrome://tracing; one track per node)\n"
-      << "  --trace-jsonl FILE  the same events as compact JSONL, one per line\n"
+      << "  --trace FILE     re-run the base seed and write a trace; repeatable.\n"
+      << "                   The extension picks the format: .csv the plant\n"
+      << "                   series, .json Chrome trace events (open in\n"
+      << "                   Perfetto; one track per node), .jsonl the same\n"
+      << "                   events one per line\n"
       << "  --log-level L    logger verbosity: trace|debug|info|warn|error|off\n"
       << "                   (default warn)\n"
       << "  --metrics        print the base seed's deterministic metrics\n"
@@ -65,6 +66,17 @@ int usage(const char* argv0) {
       << "                   *.json inside, sorted), or a manifest: a JSON\n"
       << "                   array of report paths, relative to the manifest\n";
   return 2;
+}
+
+/// What `--trace FILE` writes, picked by the file's extension.
+enum class TraceFormat { kPlantCsv, kChromeJson, kEventJsonl };
+
+std::optional<TraceFormat> trace_format(const std::string& path) {
+  const std::string ext = std::filesystem::path(path).extension().string();
+  if (ext == ".csv") return TraceFormat::kPlantCsv;
+  if (ext == ".json") return TraceFormat::kChromeJson;
+  if (ext == ".jsonl") return TraceFormat::kEventJsonl;
+  return std::nullopt;
 }
 
 bool parse_shard(const char* text, scenario::CampaignConfig& config) {
@@ -230,9 +242,7 @@ int main(int argc, char** argv) {
   double horizon_override = -1.0;
   std::string out_dir = scenario::report_dir();
   std::string check_baseline_path, update_baselines_path;
-  std::string csv_path, trace_json_path;
-  std::string chrome_trace_path, trace_jsonl_path;
-  bool print_trace = false;
+  std::vector<std::pair<std::string, TraceFormat>> traces;
   bool show_metrics = false;
   bool progress = false;
   bool merge_mode = false;
@@ -277,22 +287,12 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
       update_baselines_path = v;
-    } else if (arg == "--csv") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      csv_path = v;
-    } else if (arg == "--trace-json") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      trace_json_path = v;
     } else if (arg == "--trace") {
       const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      chrome_trace_path = v;
-    } else if (arg == "--trace-jsonl") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      trace_jsonl_path = v;
+      const std::optional<TraceFormat> format =
+          v == nullptr ? std::nullopt : trace_format(v);
+      if (!format) return usage(argv[0]);
+      traces.emplace_back(v, *format);
     } else if (arg == "--log-level") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
@@ -308,8 +308,6 @@ int main(int argc, char** argv) {
       show_metrics = true;
     } else if (arg == "--progress") {
       progress = true;
-    } else if (arg == "--print-trace") {
-      print_trace = true;
     } else {
       std::cerr << "unknown option: " << arg << "\n";
       return usage(argv[0]);
@@ -422,64 +420,49 @@ int main(int argc, char** argv) {
       report, spec->name, check_baseline_path, update_baselines_path);
   if (baseline_exit != 0 && baseline_exit != 3) return baseline_exit;
 
-  const bool want_event_trace =
-      !chrome_trace_path.empty() || !trace_jsonl_path.empty();
-  if (!csv_path.empty() || !trace_json_path.empty() || print_trace ||
-      want_event_trace || show_metrics) {
+  if (!traces.empty() || show_metrics) {
     // Re-run the base seed alone to capture its trace (campaign workers
     // discard their testbeds as they go).
     scenario::ScenarioRunner runner(*spec, config.base_seed);
     obs::TraceRecorder recorder;
-    if (want_event_trace) runner.set_trace_recorder(&recorder);
+    const bool want_events =
+        std::any_of(traces.begin(), traces.end(), [](const auto& trace) {
+          return trace.second != TraceFormat::kPlantCsv;
+        });
+    if (want_events) runner.set_trace_recorder(&recorder);
     const scenario::RunMetrics run = runner.run();
     if (!run.ok) {
       std::cerr << "error: trace run failed: " << run.error << "\n";
       return 1;
     }
-    if (!csv_path.empty()) {
-      std::ofstream csv(csv_path);
-      runner.trace().to_csv(csv);
-      if (!csv) {
-        std::cerr << "error: cannot write " << csv_path << "\n";
+    for (const auto& [path, format] : traces) {
+      std::ofstream out(path);
+      switch (format) {
+        case TraceFormat::kPlantCsv:
+          runner.trace().to_csv(out);
+          break;
+        case TraceFormat::kChromeJson:
+          out << recorder.to_chrome_json().dump() << "\n";
+          break;
+        case TraceFormat::kEventJsonl:
+          out << recorder.to_jsonl();
+          break;
+      }
+      out.close();
+      if (!out) {
+        std::cerr << "error: cannot write " << path << "\n";
         return 1;
       }
-      std::cout << "[trace csv] " << csv_path << "\n";
-    }
-    if (!trace_json_path.empty()) {
-      std::ofstream tj(trace_json_path);
-      tj << runner.trace().to_json().dump() << "\n";
-      if (!tj) {
-        std::cerr << "error: cannot write " << trace_json_path << "\n";
-        return 1;
+      std::cout << "[trace] " << path;
+      if (format == TraceFormat::kPlantCsv) {
+        std::cout << " (plant series)\n";
+      } else {
+        std::cout << " (" << recorder.size() << " events)\n";
       }
-      std::cout << "[trace json] " << trace_json_path << "\n";
-    }
-    if (!chrome_trace_path.empty()) {
-      std::ofstream ct(chrome_trace_path);
-      ct << recorder.to_chrome_json().dump() << "\n";
-      if (!ct) {
-        std::cerr << "error: cannot write " << chrome_trace_path << "\n";
-        return 1;
-      }
-      std::cout << "[event trace] " << chrome_trace_path << " ("
-                << recorder.size() << " events; open in Perfetto)\n";
-    }
-    if (!trace_jsonl_path.empty()) {
-      std::ofstream tl(trace_jsonl_path);
-      tl << recorder.to_jsonl();
-      if (!tl) {
-        std::cerr << "error: cannot write " << trace_jsonl_path << "\n";
-        return 1;
-      }
-      std::cout << "[event trace jsonl] " << trace_jsonl_path << "\n";
     }
     if (show_metrics) {
       std::cout << "\nmetrics (seed " << config.base_seed << "):\n"
                 << runner.metrics().to_json().dump() << "\n";
-    }
-    if (print_trace) {
-      std::cout << "\n";
-      runner.trace().print_table(std::cout, util::Duration::seconds(20));
     }
   }
 

@@ -67,21 +67,24 @@ class DisseminationTree {
   std::size_t forwarders_ = 0;
 };
 
-/// Lazy per-world cache: recomputes the tree only when the topology's
-/// mutation counter moves. Shared by every Router of one simulation, so a
+/// Per-world cache: recomputes the tree only when the topology's mutation
+/// counter moves. Shared by every Router of one simulation, so a
 /// topology event (crash, link flip) costs one recompute, not one per node
 /// per datagram.
 class DisseminationTreeCache {
  public:
+  /// `initial` must be the tree of `topology` as it stands now; it is served
+  /// until the first mutation. TestbedBuilder passes the slot plan's tree,
+  /// so a world computes its initial tree once.
   DisseminationTreeCache(const Topology& topology, NodeId root,
-                         std::vector<NodeId> targets)
-      : topology_(topology), root_(root), targets_(std::move(targets)) {}
+                         std::vector<NodeId> targets, DisseminationTree initial)
+      : topology_(topology), root_(root), targets_(std::move(targets)),
+        cached_(std::move(initial)), cached_version_(topology.version()) {}
 
   const DisseminationTree& tree() const {
-    if (!valid_ || cached_version_ != topology_.version()) {
+    if (cached_version_ != topology_.version()) {
       cached_ = DisseminationTree::compute(topology_, root_, targets_);
       cached_version_ = topology_.version();
-      valid_ = true;
     }
     return cached_;
   }
@@ -91,8 +94,7 @@ class DisseminationTreeCache {
   NodeId root_;
   std::vector<NodeId> targets_;
   mutable DisseminationTree cached_;
-  mutable std::uint64_t cached_version_ = 0;
-  mutable bool valid_ = false;
+  mutable std::uint64_t cached_version_;
 };
 
 }  // namespace evm::net

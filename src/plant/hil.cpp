@@ -23,7 +23,6 @@ void HilHarness::step_plant() {
   if (!running_) return;
   plant_.step(config_.plant_step.to_seconds());
   ++steps_;
-  for (const auto& hook : hooks_) hook();
   sim_.schedule_after(config_.plant_step, [this] { step_plant(); });
 }
 

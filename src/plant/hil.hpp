@@ -5,7 +5,6 @@
 // of Unisim time from network time.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -37,11 +36,6 @@ class HilHarness {
   void record(const std::string& series, const std::string& variable);
   sim::Trace& trace() { return trace_; }
 
-  /// Run `hook` after every plant step (fault scripts, assertions...).
-  void add_step_hook(std::function<void()> hook) {
-    hooks_.push_back(std::move(hook));
-  }
-
   std::size_t steps_run() const { return steps_; }
 
  private:
@@ -54,7 +48,6 @@ class HilHarness {
   ModbusGateway modbus_;
   sim::Trace trace_;
   std::vector<std::pair<std::string, std::string>> recordings_;
-  std::vector<std::function<void()>> hooks_;
   std::size_t steps_ = 0;
   bool running_ = false;
 };

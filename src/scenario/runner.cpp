@@ -285,8 +285,15 @@ RunMetrics ScenarioRunner::collect() {
   std::stable_sort(failovers.begin(), failovers.end(),
                    [](const auto& x, const auto& y) { return x.when < y.when; });
   m.failover_count = failovers.size();
-  if (!failovers.empty()) {
-    m.failover_at_s = failovers.front().when.to_seconds();
+  // A failover the fault did not cause (churn can trigger one before the
+  // fault fires) is not a detection of it: time from the first failover at
+  // or after the fault.
+  const auto first = std::find_if(
+      failovers.begin(), failovers.end(), [&](const core::FailoverEvent& e) {
+        return e.when.to_seconds() >= m.fault_injected_s;
+      });
+  if (first != failovers.end()) {
+    m.failover_at_s = first->when.to_seconds();
     if (m.fault_injected_s >= 0.0) {
       m.failover_latency_s = m.failover_at_s - m.fault_injected_s;
     }

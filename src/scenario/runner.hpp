@@ -27,9 +27,9 @@ struct RunMetrics {
   std::string error;  // set when the run threw instead of completing
 
   double fault_injected_s = -1.0;    // first scheduled fault; -1 when none
-  double failover_at_s = -1.0;       // first head failover action
+  double failover_at_s = -1.0;       // first failover at/after the fault, if any
   double failover_latency_s = -1.0;  // failover_at_s - fault_injected_s
-  std::size_t failover_count = 0;
+  std::size_t failover_count = 0;  // every failover, pre-fault ones too
   std::size_t head_successions = 0;
   bool backup_active = false;  // a backup replica ended the run Active
 

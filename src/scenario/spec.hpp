@@ -53,7 +53,7 @@ struct FaultEvent {
 
 /// Deterministic random churn: link outages drawn from the run seed, so a
 /// multi-seed campaign explores distinct-but-reproducible outage patterns
-/// (the data-driven version of bench_churn's hand-rolled loop).
+/// (the paper's §4 "dramatic topology changes"; see churn_storm.json).
 struct ChurnSpec {
   bool enabled = false;
   double outages_per_minute = 0.0;

@@ -1,8 +1,8 @@
 #include "sim/trace.hpp"
 
-#include <algorithm>
 #include <iomanip>
-#include <limits>
+
+#include "util/json.hpp"
 
 namespace evm::sim {
 
@@ -31,69 +31,13 @@ std::size_t Trace::total_samples() const {
   return n;
 }
 
-double Trace::value_at(const std::string& series, util::TimePoint t) const {
-  const Series* s = find(series);
-  if (s == nullptr || s->samples.empty()) return 0.0;
-  // Samples are recorded in time order; find last sample with time <= t.
-  auto it = std::upper_bound(
-      s->samples.begin(), s->samples.end(), t,
-      [](util::TimePoint lhs, const auto& sample) { return lhs < sample.first; });
-  if (it == s->samples.begin()) return it->second;
-  return std::prev(it)->second;
-}
-
-double Trace::last_value(const std::string& series) const {
-  const Series* s = find(series);
-  if (s == nullptr || s->samples.empty()) return 0.0;
-  return s->samples.back().second;
-}
-
-double Trace::min_value(const std::string& series) const {
-  const Series* s = find(series);
-  if (s == nullptr || s->samples.empty()) return 0.0;
-  double best = std::numeric_limits<double>::infinity();
-  for (const auto& [t, v] : s->samples) best = std::min(best, v);
-  return best;
-}
-
-double Trace::max_value(const std::string& series) const {
-  const Series* s = find(series);
-  if (s == nullptr || s->samples.empty()) return 0.0;
-  double best = -std::numeric_limits<double>::infinity();
-  for (const auto& [t, v] : s->samples) best = std::max(best, v);
-  return best;
-}
-
-void Trace::print_table(std::ostream& os, util::Duration step) const {
-  if (series_.empty()) return;
-  util::TimePoint start = util::TimePoint::max();
-  util::TimePoint end = util::TimePoint::zero();
-  for (const auto& [unused, s] : series_) {
-    if (s.samples.empty()) continue;
-    start = std::min(start, s.samples.front().first);
-    end = std::max(end, s.samples.back().first);
-  }
-  if (start > end) return;
-
-  os << std::setw(12) << "time_s";
-  for (const auto& [name, unused] : series_) os << std::setw(18) << name;
-  os << '\n';
-  for (util::TimePoint t = start; t <= end; t += step) {
-    os << std::setw(12) << std::fixed << std::setprecision(1) << t.to_seconds();
-    for (const auto& [name, unused] : series_) {
-      os << std::setw(18) << std::setprecision(4) << value_at(name, t);
-    }
-    os << '\n';
-  }
-}
-
 namespace {
 
 /// CSV field for a series name. Names carrying CSV metacharacters (or JSON
 /// string specials) are emitted as their JSON string literal through the one
-/// shared escaping path — util::Json::escape, the exact writer to_json and
-/// the obs trace exporters use — so a hostile name ("a,b" or one with
-/// quotes/newlines) cannot add columns or rows to the artifact.
+/// shared escaping path — util::Json::escape, the exact writer the obs trace
+/// exporters use — so a hostile name ("a,b" or one with quotes/newlines)
+/// cannot add columns or rows to the artifact.
 std::string csv_field(const std::string& name) {
   const bool hostile = name.find_first_of(",\"\n\r\\") != std::string::npos;
   return hostile ? util::Json::escape(name) : name;
@@ -115,26 +59,6 @@ void Trace::to_csv(std::ostream& os) const {
   }
   os.flags(flags);
   os.precision(precision);
-}
-
-util::Json Trace::to_json() const {
-  util::Json list = util::Json::array();
-  for (const auto& [name, s] : series_) {
-    util::Json times = util::Json::array();
-    util::Json values = util::Json::array();
-    for (const auto& [t, v] : s.samples) {
-      times.push(t.to_seconds());
-      values.push(v);
-    }
-    util::Json entry = util::Json::object();
-    entry.set("name", name);
-    entry.set("times_s", std::move(times));
-    entry.set("values", std::move(values));
-    list.push(std::move(entry));
-  }
-  util::Json root = util::Json::object();
-  root.set("series", std::move(list));
-  return root;
 }
 
 void Trace::clear() { series_.clear(); }

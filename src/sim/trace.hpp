@@ -1,5 +1,6 @@
-// Time-series trace recorder. Benches and the Fig. 6(b) reproduction sample
-// plant variables into named series and print them as aligned columns.
+// Time-series trace recorder. The HIL harness samples plant variables into
+// named series; the scenario runner reads them for its plant-error metrics
+// and exports them as CSV (`run_scenario --trace FILE.csv`).
 #pragma once
 
 #include <functional>
@@ -8,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "util/json.hpp"
 #include "util/time.hpp"
 
 namespace evm::sim {
@@ -36,24 +36,12 @@ class Trace {
   std::vector<std::string> series_names() const;
   std::size_t total_samples() const;
 
-  /// Value of a series at (or immediately before) time t; 0 if none.
-  double value_at(const std::string& series, util::TimePoint t) const;
-  double last_value(const std::string& series) const;
-  double min_value(const std::string& series) const;
-  double max_value(const std::string& series) const;
-
-  /// Print all series resampled onto a shared time grid, one row per step.
-  void print_table(std::ostream& os, util::Duration step) const;
-
   /// Long-format CSV of the raw samples: `series,time_s,value`, one row per
   /// sample, series in name order. No resampling, so offline plotting sees
   /// exactly what was recorded. Series names containing CSV metacharacters
   /// are emitted as JSON string literals (util::Json::escape — the shared
   /// escaping path) so they cannot corrupt the column structure.
   void to_csv(std::ostream& os) const;
-
-  /// JSON export: {"series": [{"name", "times_s": [...], "values": [...]}]}.
-  util::Json to_json() const;
 
   void clear();
 

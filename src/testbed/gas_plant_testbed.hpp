@@ -3,8 +3,9 @@
 // gateway, sensor, two-or-three controllers and an actuator — joined into
 // one Virtual Component over RT-Link. Since the topology redesign this is a
 // thin wrapper over TestbedBuilder: the world comes from config.topology
-// when set, else from default_fig5_topology(). Examples, integration tests
-// and the Fig. 6(b) bench all build on this harness.
+// when set, else from default_fig5_topology(). The scenario runner, the
+// integration tests and the examples all build on this harness; the Fig. 6(b)
+// story itself is scenarios/fig6_paper.json.
 #pragma once
 
 #include <utility>

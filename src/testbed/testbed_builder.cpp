@@ -27,7 +27,7 @@ TestbedBuilder::TestbedBuilder(GasPlantTestbedConfig config)
   // plus a second slot for the chatty nodes. On the Fig. 5 mesh this is the
   // paper's 10-slot x 5 ms frame, keeping worst-case link access at
   // 50 ms << the 250 ms control cycle.
-  const SchedulePlan plan = plan_schedule(topo_, analysis);
+  SchedulePlan plan = plan_schedule(topo_, analysis);
   if (util::Status fits = plan.fits(config_.control_period); !fits) {
     throw std::runtime_error(fits.message());
   }
@@ -47,7 +47,7 @@ TestbedBuilder::TestbedBuilder(GasPlantTestbedConfig config)
   hil_ = std::make_unique<plant::HilHarness>(sim_, plant_, hil_config);
 
   build_descriptor();
-  build_nodes(analysis.relay_ttl());
+  build_nodes(analysis.relay_ttl(), std::move(plan.tree));
 }
 
 net::NodeId TestbedBuilder::initial_primary() const {
@@ -122,7 +122,8 @@ void TestbedBuilder::build_descriptor() {
   }
 }
 
-void TestbedBuilder::build_nodes(std::uint8_t relay_ttl) {
+void TestbedBuilder::build_nodes(std::uint8_t relay_ttl,
+                                 net::DisseminationTree initial_tree) {
   core::FailoverPolicy policy;
   policy.reports_required = 1;
   policy.dormant_delay = config_.dormant_delay;
@@ -137,10 +138,12 @@ void TestbedBuilder::build_nodes(std::uint8_t relay_ttl) {
   // need the routers to carry them across. Multi-hop worlds get scoped
   // dissemination over the gateway-rooted spanning tree pruned to the role
   // nodes, so multicast cost follows the tree size; single-hop worlds never
-  // relay, and the tree cache is only built where relaying happens.
+  // relay, and the tree cache is only built where relaying happens. It
+  // starts from the slot plan's tree: the same tree of the same static world.
   if (multi_hop()) {
     tree_cache_ = std::make_unique<net::DisseminationTreeCache>(
-        topology_, topo_.gateway(), topo_.dissemination_targets());
+        topology_, topo_.gateway(), topo_.dissemination_targets(),
+        std::move(initial_tree));
   }
 
   std::size_t index = 0;

@@ -114,7 +114,7 @@ class TestbedBuilder {
 
  private:
   void build_descriptor();
-  void build_nodes(std::uint8_t relay_ttl);
+  void build_nodes(std::uint8_t relay_ttl, net::DisseminationTree initial_tree);
   net::NodeId initial_primary() const;
 
   GasPlantTestbedConfig config_;

@@ -4,8 +4,6 @@
 #include <map>
 #include <set>
 
-#include "net/dissemination.hpp"
-
 namespace evm::testbed {
 
 using util::Json;
@@ -427,11 +425,11 @@ SchedulePlan plan_schedule(const TopologySpec& topo,
   // hop 1 later in the same frame, instead of one frame per hop. Single-hop
   // worlds skip this, keeping the paper's 10-slot Fig. 5 frame intact.
   if (analysis.multi_hop()) {
-    const net::DisseminationTree tree = net::DisseminationTree::compute(
+    plan.tree = net::DisseminationTree::compute(
         topo.to_topology(), topo.gateway(), topo.dissemination_targets());
     std::vector<net::NodeId> interior;
     for (net::NodeId id : order) {
-      if (tree.forwards(id)) interior.push_back(id);
+      if (plan.tree.forwards(id)) interior.push_back(id);
     }
     plan.slots.insert(plan.slots.end(), interior.rbegin(), interior.rend());
   }

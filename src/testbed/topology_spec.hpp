@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "net/dissemination.hpp"
 #include "net/packet.hpp"
 #include "net/topology.hpp"
 #include "util/json.hpp"
@@ -62,6 +63,10 @@ struct TopologyLink {
 struct SchedulePlan {
   std::vector<net::NodeId> slots;
   util::Duration slot_length = util::Duration::millis(5);
+  /// The initial dissemination tree the mirror pass read (empty on
+  /// single-hop worlds). TestbedBuilder seeds its tree cache with it, so a
+  /// world computes its initial tree once.
+  net::DisseminationTree tree;
 
   util::Duration frame_length() const { return slot_length * static_cast<int>(slots.size()); }
   /// Schedule feasibility: one frame (the worst-case link access) must fit

@@ -23,6 +23,15 @@ std::vector<NodeId> targets_of(const TopologySpec& spec) {
   return spec.dissemination_targets();
 }
 
+/// A tree cache seeded the way TestbedBuilder seeds it: with the tree of
+/// `topo` as it stands now.
+std::unique_ptr<DisseminationTreeCache> tree_cache(const Topology& topo, NodeId root,
+                                                   std::vector<NodeId> targets) {
+  DisseminationTree tree = DisseminationTree::compute(topo, root, targets);
+  return std::make_unique<DisseminationTreeCache>(topo, root, std::move(targets),
+                                                  std::move(tree));
+}
+
 // --- Tree construction over the generator worlds ----------------------------
 
 TEST(DisseminationTree, LineSpansTheWholeChain) {
@@ -223,14 +232,51 @@ TEST(DisseminationTree, NonMembersHaveNoParentAndZeroDegree) {
 TEST(DisseminationTreeCache, RecomputesOnlyWhenTheTopologyMutates) {
   const TopologySpec spec = testbed::line_topology(8);
   Topology topo = spec.to_topology();
-  DisseminationTreeCache cache(topo, spec.gateway(), targets_of(spec));
-  const DisseminationTree* first = &cache.tree();
-  EXPECT_EQ(first, &cache.tree());  // same version: cached object reused
+  const auto cache = tree_cache(topo, spec.gateway(), targets_of(spec));
+  const DisseminationTree* first = &cache->tree();
+  EXPECT_EQ(first, &cache->tree());  // same version: cached object reused
 
   const std::uint64_t before = topo.version();
   topo.set_node_down(spec.relays()[0], true);
   EXPECT_GT(topo.version(), before);
-  EXPECT_FALSE(cache.tree().contains(spec.relays()[0]));
+  EXPECT_FALSE(cache->tree().contains(spec.relays()[0]));
+}
+
+TEST(DisseminationTreeCache, ServesTheSeededTreeUntilTheFirstMutation) {
+  // TestbedBuilder seeds the cache with the slot plan's tree instead of
+  // computing the same tree again. The cache must serve the seed as-is
+  // (a deliberately different tree proves nothing recomputed it) and only
+  // replace it once the topology moves.
+  const TopologySpec spec = testbed::line_topology(8);
+  Topology topo = spec.to_topology();
+  DisseminationTree seed =
+      DisseminationTree::compute(topo, spec.gateway(), {spec.primary_sensor()});
+  const std::size_t seed_size = seed.size();
+  DisseminationTreeCache cache(topo, spec.gateway(), targets_of(spec),
+                               std::move(seed));
+  EXPECT_EQ(cache.tree().size(), seed_size);
+  EXPECT_FALSE(cache.tree().contains(spec.primary_actuator()));
+
+  // A link flap leaves the world as it was but moves the version.
+  topo.set_link_up(spec.links[0].a, spec.links[0].b, false);
+  topo.set_link_up(spec.links[0].a, spec.links[0].b, true);
+  EXPECT_EQ(cache.tree().size(), 8u);
+  EXPECT_TRUE(cache.tree().contains(spec.primary_actuator()));
+}
+
+TEST(DisseminationTree, SlotPlanCarriesTheInitialTreeOnMultiHopWorldsOnly) {
+  const TopologySpec line = testbed::line_topology(8);
+  const testbed::SchedulePlan plan = testbed::plan_schedule(line, line.analyze());
+  const DisseminationTree fresh = DisseminationTree::compute(
+      line.to_topology(), line.gateway(), targets_of(line));
+  EXPECT_EQ(plan.tree.members(), fresh.members());
+  EXPECT_EQ(plan.tree.forwarder_count(), fresh.forwarder_count());
+  for (NodeId id : fresh.members()) {
+    EXPECT_EQ(plan.tree.parent(id), fresh.parent(id)) << "node " << id;
+  }
+
+  const TopologySpec mesh = testbed::default_fig5_topology();
+  EXPECT_TRUE(testbed::plan_schedule(mesh, mesh.analyze()).tree.empty());
 }
 
 // --- Shipped worlds: unicasts to the root climb the tree --------------------
@@ -287,7 +333,7 @@ struct TreeRoutingFixture : ::testing::Test {
   void build(Topology world, std::vector<NodeId> targets, NodeId root) {
     topo = std::move(world);
     medium = std::make_unique<Medium>(sim, topo);
-    cache = std::make_unique<DisseminationTreeCache>(topo, root, targets);
+    cache = tree_cache(topo, root, targets);
     int slot = 0;
     for (NodeId id : topo.nodes()) {
       auto& s = stacks[id];

@@ -284,17 +284,6 @@ TEST(HilHarness, StepsPlantOnVirtualClock) {
   EXPECT_GE(hil.trace().total_samples(), 59u);
 }
 
-TEST(HilHarness, StepHooksRun) {
-  sim::Simulator sim(1);
-  GasPlant plant;
-  HilHarness hil(sim, plant);
-  int hooks = 0;
-  hil.add_step_hook([&] { ++hooks; });
-  hil.start();
-  sim.run_until(util::TimePoint::zero() + util::Duration::seconds(5));
-  EXPECT_EQ(hooks, 50);
-}
-
 TEST(HilHarness, RecordRejectsUnknownVariable) {
   sim::Simulator sim(1);
   GasPlant plant;

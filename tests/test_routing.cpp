@@ -9,6 +9,15 @@
 namespace evm::net {
 namespace {
 
+/// A tree cache seeded the way TestbedBuilder seeds it: with the tree of
+/// `topo` as it stands now.
+std::unique_ptr<DisseminationTreeCache> tree_cache(const Topology& topo, NodeId root,
+                                                   std::vector<NodeId> targets) {
+  DisseminationTree tree = DisseminationTree::compute(topo, root, targets);
+  return std::make_unique<DisseminationTreeCache>(topo, root, std::move(targets),
+                                                  std::move(tree));
+}
+
 struct RoutingFixture : ::testing::Test {
   sim::Simulator sim{5};
   Topology topo = Topology::line({1, 2, 3, 4, 5});
@@ -136,8 +145,7 @@ TEST_F(RoutingFixture, TreeBroadcastCrossesRelaysExactlyOnce) {
   // whole chain, so 2, 3 and 4 relay. A broadcast from one end reaches the
   // far end (4 hops), and every node delivers it exactly once, although
   // each interior relay also hears its downstream neighbour's re-broadcast.
-  cache = std::make_unique<DisseminationTreeCache>(topo, 1,
-                                                   std::vector<NodeId>{1, 5});
+  cache = tree_cache(topo, 1, {1, 5});
   std::map<NodeId, int> got;
   for (NodeId id : {1, 2, 3, 4, 5}) {
     Router& r = make_node(id);
@@ -170,8 +178,7 @@ TEST_F(RoutingFixture, TreeDeduplicatesCopiesFromTwoRelays) {
   topo.set_link(2, 4, {true, 0.0});
   topo.set_link(3, 4, {true, 0.0});
   topo.set_link(3, 5, {true, 0.0});
-  cache = std::make_unique<DisseminationTreeCache>(
-      topo, 1, std::vector<NodeId>{1, 4, 5});
+  cache = tree_cache(topo, 1, {1, 4, 5});
   ASSERT_EQ(cache->tree().parent(4), 2);
   ASSERT_TRUE(cache->tree().forwards(3));
   int got = 0;
@@ -192,8 +199,7 @@ TEST_F(RoutingFixture, TreeRelayStopsWhenTtlRunsOut) {
   // TTL bounds tree relaying: with TTL 1 the first relay (2) forwards a
   // TTL-0 copy, which its neighbour 3 delivers but never re-broadcasts, so
   // 4 and 5 hear nothing although they are on the tree.
-  cache = std::make_unique<DisseminationTreeCache>(topo, 1,
-                                                   std::vector<NodeId>{1, 5});
+  cache = tree_cache(topo, 1, {1, 5});
   std::map<NodeId, int> got;
   for (NodeId id : {1, 2, 3, 4, 5}) {
     Router& r = make_node(id);
@@ -219,8 +225,7 @@ TEST_F(RoutingFixture, ParticipationFollowsTreeMembership) {
   Router& plain = make_node(1);
   EXPECT_TRUE(plain.participates_in_dissemination());
 
-  cache = std::make_unique<DisseminationTreeCache>(topo, 1,
-                                                   std::vector<NodeId>{1, 3});
+  cache = tree_cache(topo, 1, {1, 3});
   plain.enable_tree_dissemination(cache.get());
   for (NodeId id : {2, 3, 4, 5}) {
     make_node(id).enable_tree_dissemination(cache.get());
@@ -240,8 +245,7 @@ TEST_F(RoutingFixture, BeaconProbeRelayIsSkippedAfterTaggedDataThenResumes) {
   // current tag on its own data frames. The first probe after such a frame
   // says nothing new to 2's neighbours, so 2 skips it; the next probe finds
   // the link silent since then and is relayed.
-  cache = std::make_unique<DisseminationTreeCache>(topo, 1,
-                                                   std::vector<NodeId>{1, 3});
+  cache = tree_cache(topo, 1, {1, 3});
   int probes_at_3 = 0;
   int data_at_3 = 0;
   for (NodeId id : {1, 2, 3}) {
@@ -275,8 +279,7 @@ TEST_F(RoutingFixture, BeaconProbeRelayIsSkippedAfterTaggedDataThenResumes) {
 TEST_F(RoutingFixture, BeaconProbeIsRelayedWhenTheRelaysTagIsStale) {
   // Relay 2's data frames carried an older beacon seq than the probe, so
   // its neighbours have not seen this proof yet: the probe must go on.
-  cache = std::make_unique<DisseminationTreeCache>(topo, 1,
-                                                   std::vector<NodeId>{1, 3});
+  cache = tree_cache(topo, 1, {1, 3});
   int probes_at_3 = 0;
   for (NodeId id : {1, 2, 3}) make_node(id).enable_tree_dissemination(cache.get());
   stacks[1].router->set_beacon_tag({1, 5});
@@ -305,8 +308,7 @@ TEST_F(RoutingFixture, BeaconObserverSeesEveryCopyBeforeDedup) {
   topo.set_link(2, 4, {true, 0.0});
   topo.set_link(3, 4, {true, 0.0});
   topo.set_link(3, 5, {true, 0.0});
-  cache = std::make_unique<DisseminationTreeCache>(
-      topo, 1, std::vector<NodeId>{1, 4, 5});
+  cache = tree_cache(topo, 1, {1, 4, 5});
   int delivered = 0;
   int observed = 0;
   for (NodeId id : {1, 2, 3, 4, 5}) {

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -249,43 +248,17 @@ TEST(Trace, RecordsAndLooksUp) {
   Trace trace;
   trace.record("level", TimePoint(0), 50.0);
   trace.record("level", TimePoint(1000), 51.0);
-  trace.record("level", TimePoint(2000), 52.0);
-  EXPECT_EQ(trace.value_at("level", TimePoint(0)), 50.0);
-  EXPECT_EQ(trace.value_at("level", TimePoint(1500)), 51.0);  // step-hold
-  EXPECT_EQ(trace.value_at("level", TimePoint(5000)), 52.0);
-  EXPECT_EQ(trace.last_value("level"), 52.0);
+  const Series* level = trace.find("level");
+  ASSERT_NE(level, nullptr);
+  EXPECT_EQ(level->name, "level");
+  ASSERT_EQ(level->samples.size(), 2u);
+  EXPECT_EQ(level->samples[1].first, TimePoint(1000));
+  EXPECT_EQ(level->samples[1].second, 51.0);
 }
 
-TEST(Trace, MinMax) {
+TEST(Trace, MissingSeriesIsNotFound) {
   Trace trace;
-  trace.record("x", TimePoint(0), 5.0);
-  trace.record("x", TimePoint(1), -3.0);
-  trace.record("x", TimePoint(2), 9.0);
-  EXPECT_EQ(trace.min_value("x"), -3.0);
-  EXPECT_EQ(trace.max_value("x"), 9.0);
-}
-
-TEST(Trace, MissingSeriesIsZero) {
-  Trace trace;
-  EXPECT_EQ(trace.value_at("ghost", TimePoint(0)), 0.0);
   EXPECT_EQ(trace.find("ghost"), nullptr);
-}
-
-TEST(Trace, PrintTableHasHeaderAndRows) {
-  Trace trace;
-  trace.record("a", TimePoint(0), 1.0);
-  trace.record("a", TimePoint::zero() + Duration::seconds(10), 2.0);
-  trace.record("b", TimePoint(0), 3.0);
-  std::ostringstream os;
-  trace.print_table(os, Duration::seconds(5));
-  const std::string out = os.str();
-  EXPECT_NE(out.find("time_s"), std::string::npos);
-  EXPECT_NE(out.find("a"), std::string::npos);
-  EXPECT_NE(out.find("b"), std::string::npos);
-  // 3 time rows (0, 5, 10) + header.
-  int lines = 0;
-  for (char c : out) lines += c == '\n' ? 1 : 0;
-  EXPECT_EQ(lines, 4);
 }
 
 TEST(Trace, SeriesNamesAndTotals) {
