@@ -1,27 +1,16 @@
 #include "harness.hpp"
 
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 
-#include "util/time.hpp"
+#include "obs/phase_timer.hpp"
+#include "scenario/campaign.hpp"
 
 namespace evm::bench {
 
-Json summarize(const util::Samples& samples, const std::string& unit) {
-  return util::to_json(samples.summarize(), unit);
-}
-
 // --- timing ------------------------------------------------------------------
-
-void Stopwatch::reset() { start_ns_ = util::TimeSource::wall_ns(); }
-
-double Stopwatch::elapsed_ns() const {
-  return static_cast<double>(util::TimeSource::wall_ns() - start_ns_);
-}
 
 util::Samples measure_ns(const std::function<void()>& fn, int samples,
                          double min_batch_ms) {
@@ -29,7 +18,7 @@ util::Samples measure_ns(const std::function<void()>& fn, int samples,
   // per-call cost is measured well above clock granularity.
   std::size_t batch = 1;
   for (;;) {
-    Stopwatch sw;
+    const obs::Stopwatch sw;
     for (std::size_t i = 0; i < batch; ++i) fn();
     const double ms = sw.elapsed_ms();
     if (ms >= min_batch_ms || batch >= (1u << 24)) break;
@@ -43,9 +32,9 @@ util::Samples measure_ns(const std::function<void()>& fn, int samples,
 
   util::Samples per_call_ns;
   for (int s = 0; s < samples; ++s) {
-    Stopwatch sw;
+    const obs::Stopwatch sw;
     for (std::size_t i = 0; i < batch; ++i) fn();
-    per_call_ns.add(sw.elapsed_ns() / static_cast<double>(batch));
+    per_call_ns.add(static_cast<double>(sw.elapsed_ns()) / static_cast<double>(batch));
   }
   return per_call_ns;
 }
@@ -83,7 +72,7 @@ Scenario& Scenario::metric(const std::string& key, Json value) {
 
 Scenario& Scenario::metric(const std::string& key, const util::Samples& samples,
                            const std::string& unit) {
-  metrics_.set(key, summarize(samples, unit));
+  metrics_.set(key, util::to_json(samples.summarize(), unit));
   return *this;
 }
 
@@ -100,11 +89,6 @@ Scenario& Reporter::scenario(const std::string& name) {
   return scenarios_.back();
 }
 
-std::string Reporter::out_dir() {
-  if (const char* env = std::getenv("EVM_BENCH_OUT"); env && *env) return env;
-  return "bench/out";
-}
-
 bool Reporter::write() const {
   Json root = Json::object();
   root.set("bench", name_);
@@ -113,7 +97,7 @@ bool Reporter::write() const {
   for (const auto& s : scenarios_) list.push(s.to_json());
   root.set("scenarios", list);
 
-  const std::filesystem::path dir(out_dir());
+  const std::filesystem::path dir(scenario::report_dir());
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {

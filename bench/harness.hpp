@@ -8,7 +8,6 @@
 // table on stdout.
 #pragma once
 
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <string>
@@ -24,26 +23,7 @@ namespace evm::bench {
 /// the scenario engine's spec parser and campaign reports).
 using Json = util::Json;
 
-/// Percentile summary of a sample set as a JSON object:
-/// {"unit", "count", "mean", "p50", "p90", "p99", "max"}.
-Json summarize(const util::Samples& samples, const std::string& unit);
-
 // --- timing ------------------------------------------------------------------
-
-/// Monotonic wall-clock stopwatch. Reads the clock through
-/// util::TimeSource — the one sanctioned wall-clock funnel (lint rule D2) —
-/// shared with the scenario engine's phase timers (obs::Stopwatch).
-class Stopwatch {
- public:
-  Stopwatch() { reset(); }
-  void reset();
-  double elapsed_ns() const;
-  double elapsed_ms() const { return elapsed_ns() / 1e6; }
-  double elapsed_s() const { return elapsed_ns() / 1e9; }
-
- private:
-  std::int64_t start_ns_ = 0;
-};
 
 /// Calibrated micro-benchmark: times `fn` in batches sized so each batch
 /// runs for at least `min_batch_ms`, and returns `samples` per-call
@@ -65,7 +45,7 @@ class Scenario {
 
   Scenario& param(const std::string& key, Json value);
   Scenario& metric(const std::string& key, Json value);
-  /// Expands to a percentile-summary object (see `summarize`).
+  /// Expands to a percentile-summary object (see util::to_json).
   Scenario& metric(const std::string& key, const util::Samples& samples,
                    const std::string& unit);
 
@@ -103,11 +83,9 @@ class Reporter {
   /// Adds a scenario; the reference stays valid for the Reporter's lifetime.
   Scenario& scenario(const std::string& name);
 
-  /// Directory reports are written to: $EVM_BENCH_OUT or "bench/out".
-  static std::string out_dir();
-
-  /// Writes `<out_dir>/<name>.json` and prints the path; returns false (with
-  /// a message on stderr) if the directory or file cannot be written.
+  /// Writes `<scenario::report_dir()>/<name>.json` and prints the path;
+  /// returns false (with a message on stderr) if the directory or file
+  /// cannot be written.
   bool write() const;
 
  private:

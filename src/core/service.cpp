@@ -770,13 +770,8 @@ void EvmService::handle_fault_report(const net::Datagram& d) {
   FaultReportMsg msg;
   if (!FaultReportMsg::decode(d.payload, msg) || msg.vc != descriptor_.id) return;
 
-  const auto key = std::make_pair(msg.function, msg.suspect);
-  const std::uint32_t count = ++report_counts_[key];
-  if (count < policy_.reports_required) return;
-
   const auto active = roles_.active(msg.function);
   if (!active.has_value() || *active != msg.suspect) return;  // already handled
-  report_counts_.erase(key);
   head_failover(msg.function, msg.suspect, msg.reason);
 }
 

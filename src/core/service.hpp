@@ -25,8 +25,6 @@
 namespace evm::core {
 
 struct FailoverPolicy {
-  /// Fault reports required before the head acts (1 = act on first report).
-  std::uint32_t reports_required = 1;
   /// Delay between demoting the suspect to Backup and parking it Dormant
   /// (the paper's T3 - T2 = 200 s).
   util::Duration dormant_delay = util::Duration::seconds(200);
@@ -250,7 +248,6 @@ class EvmService {
   std::map<FunctionId, FunctionRuntime> functions_;
   std::map<std::uint8_t, double> streams_;
   std::map<std::uint8_t, std::uint32_t> stream_seq_;
-  std::map<std::pair<FunctionId, net::NodeId>, std::uint32_t> report_counts_;
   /// Head: last time each replica heartbeat in Active mode (supervision).
   std::map<std::pair<FunctionId, net::NodeId>, util::TimePoint> last_active_heartbeat_;
   /// Head: last time a stale-Active demote was re-sent to each replica

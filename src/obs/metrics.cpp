@@ -19,12 +19,6 @@ const Histogram* Metrics::find_histogram(const std::string& name) const {
   return it == histograms_.end() ? nullptr : &it->second;
 }
 
-void Metrics::clear() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
 Json Metrics::to_json() const {
   Json counters = Json::object();
   for (const auto& [name, c] : counters_) {

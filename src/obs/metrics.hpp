@@ -31,10 +31,6 @@ struct Gauge {
   double value = 0.0;
 
   void set(double v) { value = v; }
-  /// Keep the maximum of everything seen (high-water marks).
-  void update_max(double v) {
-    if (v > value) value = v;
-  }
 };
 
 /// Running summary of a sample stream: count/sum/min/max/mean, deliberately
@@ -62,7 +58,7 @@ struct Histogram {
 class Metrics {
  public:
   /// Look up (creating on first use) the named instrument. References stay
-  /// valid until clear(); names are conventionally "subsystem.metric".
+  /// valid for the registry's lifetime; names are conventionally "subsystem.metric".
   Counter& counter(const std::string& name) { return counters_[name]; }
   Gauge& gauge(const std::string& name) { return gauges_[name]; }
   Histogram& histogram(const std::string& name) { return histograms_[name]; }
@@ -75,7 +71,6 @@ class Metrics {
   bool empty() const {
     return counters_.empty() && gauges_.empty() && histograms_.empty();
   }
-  void clear();
 
   /// Byte-stable snapshot: {"counters": {...}, "gauges": {...},
   /// "histograms": {name: {count, sum, min, max, mean}}}, every section in

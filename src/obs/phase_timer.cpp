@@ -12,24 +12,11 @@ void PhaseProfile::add(const std::string& phase, double ms) {
   phases_.emplace_back(phase, ms);
 }
 
-double PhaseProfile::total_ms() const {
-  double total = 0.0;
-  for (const auto& [name, ms] : phases_) total += ms;
-  return total;
-}
-
 double PhaseProfile::ms(const std::string& phase) const {
   for (const auto& [name, total] : phases_) {
     if (name == phase) return total;
   }
   return 0.0;
-}
-
-util::Json PhaseProfile::to_json() const {
-  util::Json j = util::Json::object();
-  for (const auto& [name, ms] : phases_) j.set(name + "_ms", ms);
-  j.set("total_ms", total_ms());
-  return j;
 }
 
 }  // namespace evm::obs

@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/json.hpp"
 #include "util/time.hpp"
 
 namespace evm::obs {
@@ -38,8 +37,6 @@ class Stopwatch {
 class PhaseProfile {
  public:
   void add(const std::string& phase, double ms);
-  /// Total over every phase.
-  double total_ms() const;
   /// Accumulated time of one phase; 0 when never recorded.
   double ms(const std::string& phase) const;
   bool empty() const { return phases_.empty(); }
@@ -48,27 +45,8 @@ class PhaseProfile {
     return phases_;
   }
 
-  /// {"<phase>_ms": ..., "total_ms": ...} in insertion order.
-  util::Json to_json() const;
-
  private:
   std::vector<std::pair<std::string, double>> phases_;
-};
-
-/// RAII slice: charges the enclosing scope's wall time to `phase`.
-class ScopedPhase {
- public:
-  ScopedPhase(PhaseProfile& profile, std::string phase)
-      : profile_(profile), phase_(std::move(phase)) {}
-  ~ScopedPhase() { profile_.add(phase_, watch_.elapsed_ms()); }
-
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  PhaseProfile& profile_;
-  std::string phase_;
-  Stopwatch watch_;
 };
 
 }  // namespace evm::obs

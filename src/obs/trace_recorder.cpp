@@ -20,11 +20,6 @@ void TraceRecorder::set_track(std::int64_t tid, const std::string& name) {
   tracks_[tid] = name;
 }
 
-void TraceRecorder::clear() {
-  events_.clear();
-  tracks_.clear();
-}
-
 Json TraceRecorder::to_chrome_json() const {
   Json list = Json::array();
   // Track-name metadata first: Perfetto applies thread names regardless of

@@ -43,7 +43,6 @@ class TraceRecorder {
 
   std::size_t size() const { return events_.size(); }
   bool empty() const { return events_.empty(); }
-  void clear();
 
   /// {"traceEvents": [...], "displayTimeUnit": "ms"} — track-name metadata
   /// first, then every recorded event in recording order.

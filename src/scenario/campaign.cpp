@@ -33,71 +33,39 @@ std::string sanitize(const std::string& name) {
   return out.empty() ? std::string("scenario") : out;
 }
 
-/// The metric fields the aggregate block summarizes, readable both from a
-/// fresh RunMetrics and from a run entry of a written report (merge path).
-struct RunView {
-  bool ok = false;
-  bool backup_active = false;
-  double failover_latency_s = -1.0;
-  double missed_deadlines = 0.0;
-  double packet_loss_rate = 0.0;
-  double level_rmse_pct = 0.0;
-  double level_max_dev_pct = 0.0;
-  double slots_per_broadcast = 0.0;
-  double beacons_suppressed = 0.0;
-};
-
-RunView view_of(const RunMetrics& run) {
-  RunView v;
-  v.ok = run.ok;
-  v.backup_active = run.backup_active;
-  v.failover_latency_s = run.failover_latency_s;
-  v.missed_deadlines = static_cast<double>(run.missed_deadlines);
-  v.packet_loss_rate = run.packet_loss_rate;
-  v.level_rmse_pct = run.level_rmse_pct;
-  v.level_max_dev_pct = run.level_max_dev_pct;
-  v.slots_per_broadcast = run.slots_per_broadcast;
-  v.beacons_suppressed = static_cast<double>(run.beacons_suppressed);
-  return v;
-}
-
-RunView view_of(const Json& run) {
-  RunView v;
-  if (const Json* ok = run.find("ok")) v.ok = ok->as_bool();
-  if (const Json* b = run.find("backup_active")) v.backup_active = b->as_bool();
-  if (const Json* f = run.find("failover_latency_s")) v.failover_latency_s = f->as_double(-1.0);
-  if (const Json* m = run.find("missed_deadlines")) v.missed_deadlines = m->as_double();
-  if (const Json* p = run.find("packet_loss_rate")) v.packet_loss_rate = p->as_double();
-  if (const Json* r = run.find("level_rmse_pct")) v.level_rmse_pct = r->as_double();
-  if (const Json* d = run.find("level_max_dev_pct")) v.level_max_dev_pct = d->as_double();
-  if (const Json* s = run.find("slots_per_broadcast")) v.slots_per_broadcast = s->as_double();
-  if (const Json* bs = run.find("beacons_suppressed")) v.beacons_suppressed = bs->as_double();
-  return v;
-}
-
-Json aggregate_views(const std::vector<RunView>& views) {
+/// The aggregate block over a report's run entries: the same JSON a fresh
+/// campaign emits and a merge reads back, so both paths share one reader.
+Json aggregate_runs(const Json& runs) {
   util::Samples failover_latency, missed_deadlines, loss_rate, rmse, max_dev;
   util::Samples slots_per_bcast, beacons_suppressed;
   std::size_t ok_count = 0, failovers_detected = 0, backups_active = 0;
-  for (const RunView& v : views) {
-    if (!v.ok) continue;
+  const auto number = [](const Json& run, const char* key, double fallback = 0.0) {
+    const Json* v = run.find(key);
+    return v == nullptr ? fallback : v->as_double(fallback);
+  };
+  for (const Json& run : runs.elements()) {
+    const Json* ok = run.find("ok");
+    if (ok == nullptr || !ok->as_bool()) continue;
     ++ok_count;
-    if (v.failover_latency_s >= 0.0) {
-      failover_latency.add(v.failover_latency_s);
+    const double latency = number(run, "failover_latency_s", -1.0);
+    if (latency >= 0.0) {
+      failover_latency.add(latency);
       ++failovers_detected;
     }
-    if (v.backup_active) ++backups_active;
-    missed_deadlines.add(v.missed_deadlines);
-    loss_rate.add(v.packet_loss_rate);
-    rmse.add(v.level_rmse_pct);
-    max_dev.add(v.level_max_dev_pct);
-    slots_per_bcast.add(v.slots_per_broadcast);
-    beacons_suppressed.add(v.beacons_suppressed);
+    if (const Json* b = run.find("backup_active"); b != nullptr && b->as_bool()) {
+      ++backups_active;
+    }
+    missed_deadlines.add(number(run, "missed_deadlines"));
+    loss_rate.add(number(run, "packet_loss_rate"));
+    rmse.add(number(run, "level_rmse_pct"));
+    max_dev.add(number(run, "level_max_dev_pct"));
+    slots_per_bcast.add(number(run, "slots_per_broadcast"));
+    beacons_suppressed.add(number(run, "beacons_suppressed"));
   }
 
   Json aggregate = Json::object();
   aggregate.set("runs_ok", ok_count);
-  aggregate.set("runs_failed", views.size() - ok_count);
+  aggregate.set("runs_failed", runs.size() - ok_count);
   aggregate.set("failovers_detected", failovers_detected);
   aggregate.set("backups_active", backups_active);
   if (!failover_latency.empty()) {
@@ -202,12 +170,9 @@ Json campaign_report(const ScenarioSpec& spec, const CampaignConfig& config,
 
   Json runs = Json::array();
   for (const auto& run : result.runs) runs.push(run.to_json());
+  Json aggregate = aggregate_runs(runs);
   root.set("runs", std::move(runs));
-
-  std::vector<RunView> views;
-  views.reserve(result.runs.size());
-  for (const auto& run : result.runs) views.push_back(view_of(run));
-  root.set("aggregate", aggregate_views(views));
+  root.set("aggregate", std::move(aggregate));
 
   // Wall-clock throughput of this invocation. Machine-dependent by nature —
   // per-run JSON stays byte-identical per (spec, seed), so timing lives only
@@ -335,13 +300,11 @@ util::Result<Json> merge_campaign_reports(const std::vector<Json>& reports) {
   }
   root.set("campaign", std::move(campaign));
 
-  std::vector<RunView> views;
-  views.reserve(runs.size());
-  for (const Json& run : runs) views.push_back(view_of(run));
   Json runs_json = Json::array();
   for (Json& run : runs) runs_json.push(std::move(run));
+  Json aggregate = aggregate_runs(runs_json);
   root.set("runs", std::move(runs_json));
-  root.set("aggregate", aggregate_views(views));
+  root.set("aggregate", std::move(aggregate));
   if (timed_shards > 0 && wall_ms > 0.0) {
     Json timing = Json::object();
     // Shards typically run concurrently on different machines, so their

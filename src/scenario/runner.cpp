@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
+#include <optional>
 #include <stdexcept>
 
 #include "core/modes.hpp"
@@ -16,6 +17,12 @@ using util::Json;
 namespace {
 
 constexpr const char* kLevelVariable = "LTS.LiquidPercentLevel";
+
+/// A summed count of a TestbedBuilder::collect_metrics snapshot.
+std::uint64_t counter(const obs::Metrics& metrics, const char* name) {
+  const obs::Counter* c = metrics.find_counter(name);
+  return c == nullptr ? 0 : c->value;
+}
 
 util::TimePoint at(double seconds) {
   return util::TimePoint::zero() + util::Duration::from_seconds(seconds);
@@ -66,7 +73,7 @@ Json RunMetrics::to_json() const {
 }
 
 ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec, std::uint64_t seed)
-    : spec_(spec), seed_(seed), topo_(spec.topology()) {}
+    : spec_(spec), seed_(seed) {}
 
 ScenarioRunner::~ScenarioRunner() = default;
 
@@ -209,7 +216,7 @@ void ScenarioRunner::schedule_churn() {
   // Outages strike pairs of VC members (relays included in multi-hop worlds
   // through their membership); the draw order makes churn a pure function
   // of (seed, salt, membership).
-  const std::vector<net::NodeId> nodes = topo_.members();
+  const std::vector<net::NodeId> nodes = testbed_->topology_spec().members();
   if (nodes.size() < 2) return;
 
   const double window_end = spec_.horizon_s - churn.end_margin_s;
@@ -234,30 +241,21 @@ void ScenarioRunner::probe_once() {
   auto& tb = *testbed_;
   InvariantMonitor::ProbeSample sample;
   // Per-replica states over the VC membership; the monitor derives the
-  // liveness verdict from them. A replica counts toward liveness only when
-  // its node is up: a crashed controller whose service state still reads
-  // Active cannot drive the valve, which is exactly the gap the liveness
-  // invariant is after.
-  for (net::NodeId id : topo_.replica_order()) {
+  // liveness verdict from them. A crashed controller whose service state
+  // still reads Active cannot drive the valve, which is exactly the gap the
+  // liveness invariant is after.
+  for (net::NodeId id : tb.topology_spec().replica_order()) {
     InvariantMonitor::ReplicaProbe replica;
     replica.node = id;
     replica.alive = !tb.node(id).failed();
     replica.mode = tb.service(id).mode(testbed::kLtsLevelLoop);
-    if (replica.alive && replica.mode == core::ControllerMode::kActive) {
-      sample.any_live_active = true;
-    }
     sample.replicas.push_back(replica);
   }
-  for (net::NodeId id : topo_.node_ids()) {
-    sample.failover_count += tb.service(id).failovers().size();
-    auto& scheduler = tb.node(id).kernel().scheduler();
-    for (rtos::TaskId task : scheduler.task_ids()) {
-      const rtos::Tcb* tcb = scheduler.task(task);
-      if (tcb == nullptr) continue;
-      sample.missed_deadlines += tcb->stats.deadline_misses;
-      sample.task_releases += tcb->stats.releases;
-    }
-  }
+  obs::Metrics counters;
+  tb.collect_metrics(counters);
+  sample.failover_count = counter(counters, "core.service.failovers");
+  sample.missed_deadlines = counter(counters, "rtos.deadline_misses");
+  sample.task_releases = counter(counters, "rtos.task_releases");
   const double now_s = tb.sim().now().to_seconds();
   monitor_->on_probe(now_s, sample);
   const double period = monitor_->config().probe_period_s;
@@ -269,65 +267,55 @@ void ScenarioRunner::probe_once() {
 
 RunMetrics ScenarioRunner::collect() {
   auto& tb = *testbed_;
+  const testbed::TopologySpec& topo = tb.topology_spec();
+  // Every summed count comes from the one deterministic snapshot (see
+  // ScenarioRunner::metrics()).
+  tb.collect_metrics(metrics_);
   RunMetrics m;
   m.seed = seed_;
   m.ok = true;
   m.fault_injected_s = fault_injected_s_;
+  m.failover_count = counter(metrics_, "core.service.failovers");
+  m.head_successions = counter(metrics_, "core.service.head_successions");
+  m.missed_deadlines = counter(metrics_, "rtos.deadline_misses");
+  m.task_releases = counter(metrics_, "rtos.task_releases");
+  m.sim_events = counter(metrics_, "sim.events_dispatched");
 
   // Failover actions may be logged by the original head or, after a head
-  // crash, by its successor — merge every node's log in time order.
-  std::vector<core::FailoverEvent> failovers;
-  for (net::NodeId id : topo_.node_ids()) {
-    const auto& events = tb.service(id).failovers();
-    failovers.insert(failovers.end(), events.begin(), events.end());
-    m.head_successions += tb.service(id).head_successions();
+  // crash, by its successor: merge every node's log to find the first
+  // failover at or after the fault. One the fault did not cause (churn can
+  // trigger one before the fault fires) is not a detection of it.
+  std::optional<util::TimePoint> first;
+  for (net::NodeId id : topo.node_ids()) {
+    for (const core::FailoverEvent& e : tb.service(id).failovers()) {
+      if (e.when.to_seconds() >= m.fault_injected_s && (!first || e.when < *first)) {
+        first = e.when;
+      }
+    }
   }
-  std::stable_sort(failovers.begin(), failovers.end(),
-                   [](const auto& x, const auto& y) { return x.when < y.when; });
-  m.failover_count = failovers.size();
-  // A failover the fault did not cause (churn can trigger one before the
-  // fault fires) is not a detection of it: time from the first failover at
-  // or after the fault.
-  const auto first = std::find_if(
-      failovers.begin(), failovers.end(), [&](const core::FailoverEvent& e) {
-        return e.when.to_seconds() >= m.fault_injected_s;
-      });
-  if (first != failovers.end()) {
-    m.failover_at_s = first->when.to_seconds();
+  if (first) {
+    m.failover_at_s = first->to_seconds();
     if (m.fault_injected_s >= 0.0) {
       m.failover_latency_s = m.failover_at_s - m.fault_injected_s;
     }
   }
 
-  for (net::NodeId id : topo_.node_ids()) {
-    auto& scheduler = tb.node(id).kernel().scheduler();
-    for (rtos::TaskId task : scheduler.task_ids()) {
-      const rtos::Tcb* tcb = scheduler.task(task);
-      if (tcb == nullptr) continue;
-      m.missed_deadlines += tcb->stats.deadline_misses;
-      m.task_releases += tcb->stats.releases;
-    }
-  }
-
   m.dissemination = tb.multi_hop() ? "tree" : "single_hop";
-  for (net::NodeId id : topo_.node_ids()) {
-    const net::Router& router = tb.node(id).router();
-    m.bcast_datagrams += router.broadcasts_originated();
-    m.bcast_transmissions +=
-        router.broadcasts_originated() + router.broadcast_relays();
-    // Reclaimed beacon slots: explicit beacons the head withheld plus probe
-    // relays the interior skipped because data frames already carried the tag.
-    m.beacons_suppressed +=
-        tb.service(id).beacons_suppressed() + router.beacon_relays_suppressed();
-  }
+  m.bcast_datagrams = counter(metrics_, "net.route.broadcasts_originated");
+  m.bcast_transmissions =
+      m.bcast_datagrams + counter(metrics_, "net.route.broadcast_relays");
+  // Reclaimed beacon slots: explicit beacons the head withheld plus probe
+  // relays the interior skipped because data frames already carried the tag.
+  m.beacons_suppressed = counter(metrics_, "core.service.beacons_suppressed") +
+                         counter(metrics_, "net.route.beacon_relays_suppressed");
   if (m.bcast_datagrams > 0) {
     m.slots_per_broadcast = static_cast<double>(m.bcast_transmissions) /
                             static_cast<double>(m.bcast_datagrams);
   }
 
-  m.packets_delivered = tb.medium().delivered_count();
-  m.packets_lost = tb.medium().loss_count();
-  m.packets_collided = tb.medium().collision_count();
+  m.packets_delivered = counter(metrics_, "net.medium.deliveries");
+  m.packets_lost = counter(metrics_, "net.medium.losses");
+  m.packets_collided = counter(metrics_, "net.medium.collisions");
   const std::size_t offered =
       m.packets_delivered + m.packets_lost + m.packets_collided;
   if (offered > 0) {
@@ -351,13 +339,14 @@ RunMetrics ScenarioRunner::collect() {
 
   // Replica modes in priority order: "ctrl_a" = the initial primary,
   // "ctrl_b" = the first backup (the historical Fig. 5 report keys).
-  const std::vector<net::NodeId> replicas = topo_.replica_order();
-  m.ctrl_a_mode = core::to_string(
-      replicas.empty() ? core::ControllerMode::kDormant
-                       : tb.service(replicas[0]).mode(testbed::kLtsLevelLoop));
-  m.ctrl_b_mode = core::to_string(
-      replicas.size() < 2 ? core::ControllerMode::kDormant
-                          : tb.service(replicas[1]).mode(testbed::kLtsLevelLoop));
+  const std::vector<net::NodeId> replicas = topo.replica_order();
+  const auto mode_of = [&tb](net::NodeId id) -> std::string {
+    if (tb.node(id).failed()) return "Crashed";
+    return core::to_string(tb.service(id).mode(testbed::kLtsLevelLoop));
+  };
+  const std::string dormant = core::to_string(core::ControllerMode::kDormant);
+  m.ctrl_a_mode = replicas.empty() ? dormant : mode_of(replicas[0]);
+  m.ctrl_b_mode = replicas.size() < 2 ? dormant : mode_of(replicas[1]);
   for (std::size_t i = 1; i < replicas.size(); ++i) {
     if (tb.service(replicas[i]).mode(testbed::kLtsLevelLoop) ==
         core::ControllerMode::kActive) {
@@ -365,7 +354,6 @@ RunMetrics ScenarioRunner::collect() {
     }
   }
 
-  m.sim_events = tb.sim().dispatched_events();
   m.topology_mutations = script_->events_applied();
   const std::int64_t slot_ns = tb.schedule().slot_length().ns();
   if (slot_ns > 0) {
@@ -373,8 +361,6 @@ RunMetrics ScenarioRunner::collect() {
         util::Duration::from_seconds(spec_.horizon_s).ns() / slot_ns);
   }
 
-  // Deterministic observability snapshot (see ScenarioRunner::metrics()).
-  tb.collect_metrics(metrics_);
   return m;
 }
 

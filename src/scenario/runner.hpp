@@ -59,6 +59,8 @@ struct RunMetrics {
   double level_rmse_pct = 0.0;     // RMS |level - setpoint| over the run
   double level_max_dev_pct = 0.0;  // worst excursion from setpoint
   double final_level_pct = 0.0;
+  // Replica modes at the end of the run; "Crashed" when the replica's node
+  // is down, whatever its service state still says.
   std::string ctrl_a_mode;
   std::string ctrl_b_mode;
 
@@ -124,9 +126,6 @@ class ScenarioRunner {
 
   const ScenarioSpec& spec_;
   std::uint64_t seed_;
-  /// Resolved world (spec topology or the default Fig. 5 testbed); the
-  /// source of every node set the runner iterates.
-  testbed::TopologySpec topo_;
   std::unique_ptr<testbed::GasPlantTestbed> testbed_;
   std::unique_ptr<net::TopologyScript> script_;
   InvariantMonitor* monitor_ = nullptr;

@@ -125,7 +125,6 @@ void TestbedBuilder::build_descriptor() {
 void TestbedBuilder::build_nodes(std::uint8_t relay_ttl,
                                  net::DisseminationTree initial_tree) {
   core::FailoverPolicy policy;
-  policy.reports_required = 1;
   policy.dormant_delay = config_.dormant_delay;
   policy.promotion_timeout = config_.promotion_timeout;
   // The backstop silence detector must out-wait legitimate heartbeat gaps,
@@ -167,30 +166,32 @@ void TestbedBuilder::build_nodes(std::uint8_t relay_ttl,
         std::make_unique<core::EvmService>(*nodes_[entry.id], descriptor_, policy);
   }
 
+  // The gateway bridges the plant through the ModBus register map (Fig. 5):
+  // the level transmitter is register 0, the drain valve register 100.
+  plant::ModbusGateway& modbus = hil_->modbus();
+  (void)modbus.map_plant_variable(kLevelRegister, plant_, "LTS.LiquidPercentLevel",
+                                  false);
+  (void)modbus.map_plant_variable(kValveRegister, plant_, "LTSValve.Opening", true);
+
   for (const TopologyNode& entry : topo_.nodes) {
-    // Sensor nodes sample the LTS level (in HIL, straight from the plant
-    // model — physically this is the ADC reading the level transmitter).
+    // Sensor nodes sample the LTS level through its register (in HIL the
+    // plant model stands in for the level transmitter's ADC).
     if (entry.role == NodeRole::kSensor) {
-      nodes_[entry.id]->bind_sensor(
-          kLevelStream, [this] { return plant_.lts_level_percent(); });
+      nodes_[entry.id]->bind_sensor(kLevelStream, [&modbus] {
+        return *modbus.read_register(kLevelRegister);
+      });
     }
-    // Actuator nodes drive the LTS drain valve.
+    // Actuator nodes drive the LTS drain valve through its register.
     if (entry.role == NodeRole::kActuator) {
-      nodes_[entry.id]->bind_actuator(
-          kValveChannel, [this](double percent) { plant_.set_lts_valve(percent); });
+      nodes_[entry.id]->bind_actuator(kValveChannel, [&modbus](double percent) {
+        (void)modbus.write_register(kValveRegister, percent);
+      });
       const net::NodeId id = entry.id;
       services_[id]->set_actuation_handler([this, id](const core::ActuationMsg& msg) {
         (void)nodes_[id]->write_actuator(msg.channel, msg.value);
       });
     }
   }
-
-  // Gateway monitors the plant through the ModBus register map (Fig. 5).
-  (void)hil_->modbus().map_plant_variable(0, plant_, "LTS.LiquidPercentLevel", false);
-  (void)hil_->modbus().map_plant_variable(1, plant_, "SepLiq.MolarFlow", false);
-  (void)hil_->modbus().map_plant_variable(2, plant_, "LTSLiq.MolarFlow", false);
-  (void)hil_->modbus().map_plant_variable(3, plant_, "TowerFeed.MolarFlow", false);
-  (void)hil_->modbus().map_plant_variable(100, plant_, "LTSValve.Opening", true);
 }
 
 void TestbedBuilder::start() {

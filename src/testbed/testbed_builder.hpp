@@ -60,6 +60,9 @@ struct GasPlantTestbedConfig {
 inline constexpr core::FunctionId kLtsLevelLoop = 1;
 inline constexpr std::uint8_t kLevelStream = 0;
 inline constexpr std::uint8_t kValveChannel = 0;
+/// ModBus holding registers of the level transmitter and the drain valve.
+inline constexpr std::uint16_t kLevelRegister = 0;
+inline constexpr std::uint16_t kValveRegister = 100;
 
 class TestbedBuilder {
  public:

@@ -90,40 +90,4 @@ std::string Samples::summary(const std::string& unit) const {
   return buf;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {}
-
-void Histogram::add(double value) {
-  const double span = hi_ - lo_;
-  std::ptrdiff_t bin = 0;
-  if (span > 0.0) {
-    bin = static_cast<std::ptrdiff_t>((value - lo_) / span *
-                                      static_cast<double>(counts_.size()));
-  }
-  bin = std::clamp<std::ptrdiff_t>(bin, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t bin) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin) /
-                   static_cast<double>(counts_.size());
-}
-
-std::string Histogram::render(std::size_t max_bar) const {
-  std::size_t peak = 1;
-  for (std::size_t c : counts_) peak = std::max(peak, c);
-  std::string out;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    char line[96];
-    std::snprintf(line, sizeof(line), "[%8.3g, %8.3g) %8zu ", bin_low(b),
-                  bin_low(b + 1), counts_[b]);
-    out += line;
-    out.append(counts_[b] * max_bar / peak, '#');
-    out += '\n';
-  }
-  return out;
-}
-
 }  // namespace evm::util

@@ -1,5 +1,5 @@
 // Small descriptive-statistics helpers shared by benches and tests:
-// percentile summaries and fixed-bin histograms over double samples.
+// percentile summaries over double samples.
 #pragma once
 
 #include <cstddef>
@@ -51,26 +51,6 @@ class Samples {
  private:
   std::vector<double> sorted() const;
   std::vector<double> values_;
-};
-
-/// Fixed-width-bin histogram over [lo, hi); out-of-range clamps to edge bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double value);
-  std::size_t bin_count(std::size_t bin) const { return counts_.at(bin); }
-  std::size_t total() const { return total_; }
-  std::size_t bins() const { return counts_.size(); }
-  double bin_low(std::size_t bin) const;
-
-  /// One line per bin: "[lo, hi)  count  ####".
-  std::string render(std::size_t max_bar = 50) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace evm::util

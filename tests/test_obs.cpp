@@ -27,8 +27,8 @@ TEST(Metrics, CountersGaugesHistogramsAccumulate) {
   obs::Metrics m;
   m.counter("net.medium.deliveries").add();
   m.counter("net.medium.deliveries").add(4);
-  m.gauge("sim.queue_depth_max").update_max(3.0);
-  m.gauge("sim.queue_depth_max").update_max(2.0);  // lower: keeps the max
+  m.gauge("sim.queue_depth_max").set(2.0);
+  m.gauge("sim.queue_depth_max").set(3.0);  // last write wins
   m.histogram("net.rtlink.slots_used_per_node").record(2.0);
   m.histogram("net.rtlink.slots_used_per_node").record(6.0);
 
@@ -221,22 +221,10 @@ TEST(PhaseProfile, AccumulatesInInsertionOrder) {
   EXPECT_DOUBLE_EQ(profile.ms("setup"), 2.0);
   EXPECT_DOUBLE_EQ(profile.ms("run"), 8.0);
   EXPECT_DOUBLE_EQ(profile.ms("absent"), 0.0);
-  EXPECT_DOUBLE_EQ(profile.total_ms(), 10.0);
-  const util::Json j = profile.to_json();
-  ASSERT_NE(j.find("setup_ms"), nullptr);
-  ASSERT_NE(j.find("run_ms"), nullptr);
-  EXPECT_DOUBLE_EQ(j.find("total_ms")->as_double(), 10.0);
   // Insertion order, not name order: setup before run.
-  EXPECT_LT(j.dump().find("setup_ms"), j.dump().find("run_ms"));
-}
-
-TEST(ScopedPhase, ChargesTheEnclosingScope) {
-  obs::PhaseProfile profile;
-  {
-    obs::ScopedPhase slice(profile, "work");
-  }
-  EXPECT_GE(profile.ms("work"), 0.0);
-  EXPECT_EQ(profile.phases().size(), 1u);
+  ASSERT_EQ(profile.phases().size(), 2u);
+  EXPECT_EQ(profile.phases()[0].first, "setup");
+  EXPECT_EQ(profile.phases()[1].first, "run");
 }
 
 // --- tracing never perturbs a run ---------------------------------------------

@@ -493,6 +493,63 @@ TEST(ScenarioRunner, ShippedDegradationScenariosShowWhatDeviationDetectionBuys) 
   EXPECT_TRUE(without.backup_active);
 }
 
+TEST(ScenarioRunner, ReplicaWhoseNodeIsDownReportsCrashed) {
+  // degradation_silence_only ends with Ctrl-A crashed since 240 s. Its
+  // service state still reads Active, but a crashed node drives nothing, so
+  // the report names it Crashed; the promoted Ctrl-B ends Active.
+  const RunMetrics m = ShippedRun("degradation_silence_only.json", 1).metrics;
+  ASSERT_TRUE(m.ok) << m.error;
+  EXPECT_EQ(m.ctrl_a_mode, "Crashed");
+  EXPECT_EQ(m.ctrl_b_mode, "Active");
+  EXPECT_TRUE(m.backup_active);
+}
+
+/// Every summed count of RunMetrics has one definition: its counter in the
+/// run's deterministic snapshot (ScenarioRunner::metrics()). One single-hop
+/// and one multi-hop shipped world, so the relay counts are non-zero once.
+class RunCountsMatchTheSnapshot : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(RunCountsMatchTheSnapshot, EverySummedCountEqualsItsCounter) {
+  const ShippedRun run(GetParam(), 1);
+  const RunMetrics& m = run.metrics;
+  ASSERT_TRUE(m.ok) << m.error;
+  const obs::Metrics& snapshot = run.runner->metrics();
+  const auto counter = [&snapshot](const std::string& name) -> std::uint64_t {
+    const obs::Counter* c = snapshot.find_counter(name);
+    EXPECT_NE(c, nullptr) << name;
+    return c == nullptr ? 0 : c->value;
+  };
+  EXPECT_EQ(m.failover_count, counter("core.service.failovers"));
+  EXPECT_EQ(m.head_successions, counter("core.service.head_successions"));
+  EXPECT_EQ(m.task_releases, counter("rtos.task_releases"));
+  EXPECT_EQ(m.missed_deadlines, counter("rtos.deadline_misses"));
+  EXPECT_EQ(m.bcast_datagrams, counter("net.route.broadcasts_originated"));
+  EXPECT_EQ(m.bcast_transmissions, counter("net.route.broadcasts_originated") +
+                                       counter("net.route.broadcast_relays"));
+  EXPECT_EQ(m.beacons_suppressed, counter("core.service.beacons_suppressed") +
+                                      counter("net.route.beacon_relays_suppressed"));
+  EXPECT_EQ(m.packets_delivered, counter("net.medium.deliveries"));
+  EXPECT_EQ(m.packets_lost, counter("net.medium.losses"));
+  EXPECT_EQ(m.packets_collided, counter("net.medium.collisions"));
+  EXPECT_EQ(m.sim_events, counter("sim.events_dispatched"));
+
+  // The world exercises what is compared: a failover, releases, traffic,
+  // and relaying exactly where the world is multi-hop.
+  EXPECT_GE(m.failover_count, 1u);
+  EXPECT_GT(m.task_releases, 0u);
+  EXPECT_GT(m.packets_delivered, 0u);
+  EXPECT_GT(m.bcast_datagrams, 0u);
+  EXPECT_EQ(m.bcast_transmissions > m.bcast_datagrams, m.dissemination == "tree");
+}
+
+INSTANTIATE_TEST_SUITE_P(ShippedWorlds, RunCountsMatchTheSnapshot,
+                         ::testing::Values("fig6_failover.json", "line_multihop.json"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param).find("line") == 0
+                                      ? std::string("MultiHop")
+                                      : std::string("SingleHop");
+                         });
+
 TEST(ScenarioRunner, FailoverBeforeTheFaultIsNotItsDetection) {
   // churn_storm seed 2: a churn outage trips a failover at ~17.5 s, before
   // the 20 s fault, and the demoted Ctrl-A's wrong output then never

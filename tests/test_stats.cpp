@@ -123,31 +123,5 @@ TEST(Samples, PercentilesAreMonotone) {
   }
 }
 
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);    // bin 0
-  h.add(9.5);    // bin 9
-  h.add(-5.0);   // clamps to bin 0
-  h.add(100.0);  // clamps to bin 9
-  h.add(5.0);    // bin 5
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_EQ(h.bin_count(5), 1u);
-  EXPECT_DOUBLE_EQ(h.bin_low(5), 5.0);
-}
-
-TEST(Histogram, RenderShowsBars) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(0.6);
-  h.add(1.5);
-  const std::string out = h.render(10);
-  EXPECT_NE(out.find("##"), std::string::npos);
-  int lines = 0;
-  for (char c : out) lines += c == '\n' ? 1 : 0;
-  EXPECT_EQ(lines, 2);
-}
-
 }  // namespace
 }  // namespace evm::util
